@@ -40,11 +40,11 @@
 //!
 //! Exits non-zero on any identity divergence or spawn failure.
 
+use pphcr_core::json::JsonWriter;
 use pphcr_obs::timing::stopwatch;
 use pphcr_shard::{
     commands, run_single, run_single_windowed, tick_heavy, ProcessShard, Router, SingleRun,
 };
-use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -186,38 +186,43 @@ fn main() -> ExitCode {
         heavy_rows.push(Row { shards: n, best_ms, ops_per_s: speedup, identical });
     }
 
-    let mut doc = String::new();
-    let _ = write!(
-        doc,
-        "{{\n  \"seed\": {seed},\n  \"host_cores\": {host_cores},\n  \"ops\": {},\n  \"lines\": {},\n  \"rounds\": {rounds},\n  \"baseline_ms\": {baseline_ms:.3},\n  \"points\": [",
-        ops.len(),
-        baseline.lines.len(),
-    );
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            doc.push(',');
-        }
-        let _ = write!(
-            doc,
-            "\n    {{\"shards\": {}, \"best_ms\": {:.3}, \"ops_per_s\": {:.1}, \"identical\": {}}}",
-            r.shards, r.best_ms, r.ops_per_s, r.identical
-        );
+    let mut w = JsonWriter::new();
+    w.begin_object();
+    w.field_u64("seed", seed)
+        .field_u64("host_cores", host_cores as u64)
+        .field_u64("ops", ops.len() as u64)
+        .field_u64("lines", baseline.lines.len() as u64)
+        .field_u64("rounds", rounds as u64)
+        .field_f64("baseline_ms", baseline_ms);
+    w.begin_named_array("points");
+    for r in &rows {
+        w.begin_object();
+        w.field_u64("shards", r.shards as u64)
+            .field_f64("best_ms", r.best_ms)
+            .field_f64("ops_per_s", r.ops_per_s)
+            .field_bool("identical", r.identical);
+        w.end_object();
     }
-    let _ = write!(
-        doc,
-        "\n  ],\n  \"heavy\": {{\n    \"users\": {heavy_users},\n    \"ticks\": {heavy_ticks},\n    \"rounds\": {heavy_rounds},\n    \"baseline_window_ms\": {heavy_baseline_ms:.3},\n    \"points\": ["
-    );
-    for (i, r) in heavy_rows.iter().enumerate() {
-        if i > 0 {
-            doc.push(',');
-        }
-        let _ = write!(
-            doc,
-            "\n      {{\"shards\": {}, \"window_ms\": {:.3}, \"speedup\": {:.3}, \"identical\": {}}}",
-            r.shards, r.best_ms, r.ops_per_s, r.identical
-        );
+    w.end_array();
+    w.begin_named_object("heavy");
+    w.field_u64("users", heavy_users)
+        .field_u64("ticks", heavy_ticks)
+        .field_u64("rounds", heavy_rounds as u64)
+        .field_f64("baseline_window_ms", heavy_baseline_ms);
+    w.begin_named_array("points");
+    for r in &heavy_rows {
+        w.begin_object();
+        w.field_u64("shards", r.shards as u64)
+            .field_f64("window_ms", r.best_ms)
+            .field_f64("speedup", r.ops_per_s)
+            .field_bool("identical", r.identical);
+        w.end_object();
     }
-    doc.push_str("\n    ]\n  }\n}\n");
+    w.end_array();
+    w.end_object();
+    w.end_object();
+    let mut doc = w.finish();
+    doc.push('\n');
     // lint: allow(fsync-free-write) — bench artifact, not durable state; loss on crash is fine
     std::fs::write(&out_path, doc).expect("write BENCH_e16.json");
     println!("wrote {out_path}");

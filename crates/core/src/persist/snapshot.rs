@@ -50,7 +50,7 @@ use std::collections::HashMap;
 /// The four magic bytes opening every snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"PPHS";
 /// The current snapshot format version.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 const SECTION_CONFIG: u16 = 1;
 const SECTION_CATALOG: u16 = 2;
@@ -505,7 +505,6 @@ fn encode_config(engine: &Engine) -> Vec<u8> {
     w.put_u32(config.backoff.budget);
     w.put_u64(config.chaos_seed);
     w.put_u64(config.stale_fix_after.0);
-    w.put_u64(config.worker_threads as u64);
     w.put_bool(config.obs_enabled);
     w.put_u64(config.trace_capacity as u64);
     w.put_u64(config.cache_quanta.freshness.0);
@@ -544,10 +543,6 @@ fn decode_config(bytes: &[u8]) -> Result<Engine, PersistError> {
     };
     let chaos_seed = r.u64()?;
     let stale_fix_after = TimeSpan(r.u64()?);
-    let worker_threads = r.u64()? as usize;
-    if worker_threads == 0 {
-        return Err(PersistError::Corrupt { what: "worker thread count" });
-    }
     let obs_enabled = r.bool()?;
     let trace_capacity = r.u64()? as usize;
     let cache_quanta = CacheQuanta {
@@ -568,7 +563,10 @@ fn decode_config(bytes: &[u8]) -> Result<Engine, PersistError> {
         backoff,
         chaos_seed,
         stale_fix_after,
-        worker_threads,
+        // Worker count is a property of the restoring host, not of the
+        // persisted state: results are identical for any count, so the
+        // snapshot bytes must be too.
+        worker_threads: EngineConfig::default().worker_threads,
         obs_enabled,
         trace_capacity,
         cache_quanta,

@@ -19,7 +19,8 @@ use pphcr_catalog::{CategoryId, ClipKind, GeoTag, ServiceIndex};
 use pphcr_core::persist::wal::encode_record;
 use pphcr_core::persist::{decode_engine, snapshot_engine, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use pphcr_core::{
-    restore_engine, DurableEngine, Engine, EngineConfig, MemWal, PersistError, WalOp, WalRecord,
+    restore_engine, DurableEngine, Engine, EngineCommand, EngineConfig, MemWal, PersistError,
+    WalOp, WalRecord,
 };
 use pphcr_geo::{GeoPoint, TimePoint, TimeSpan};
 use pphcr_trajectory::GpsFix;
@@ -41,7 +42,11 @@ fn profile(id: u64) -> UserProfile {
 /// geo-tagged corpus, GPS history, feedback, an in-flight injection
 /// and a few ticks of bus traffic.
 fn mini_engine() -> Engine {
-    let mut e = Engine::new(EngineConfig::default());
+    mini_engine_with(EngineConfig::default())
+}
+
+fn mini_engine_with(config: EngineConfig) -> Engine {
+    let mut e = Engine::new(config);
     let t0 = TimePoint::at(0, 9, 0, 0);
     for u in 1..=2u64 {
         e.register_user(profile(u), t0);
@@ -138,6 +143,25 @@ fn snapshot_bytes_match_golden_fixture() {
         got, want,
         "snapshot wire format drifted — bump SNAPSHOT_VERSION or rerun with PERSIST_BLESS=1"
     );
+}
+
+/// Worker count is a deployment knob, not state: engines configured
+/// with 1 and 8 workers, fed the same commands (including a batch tick
+/// that runs on the configured pool), snapshot to the same bytes.
+#[test]
+fn snapshot_bytes_do_not_depend_on_worker_count() {
+    let snapshot_with = |worker_threads| {
+        let mut e = mini_engine_with(EngineConfig { worker_threads, ..EngineConfig::default() });
+        e.apply(&EngineCommand::Tick {
+            users: vec![UserId(1), UserId(2)],
+            now: TimePoint::at(0, 9, 5, 0),
+            batch: true,
+            workers: None,
+        })
+        .expect("registered users tick");
+        snapshot_engine(&e, 42).expect("default engine uses a snapshot-capable transport")
+    };
+    assert_eq!(snapshot_with(1), snapshot_with(8), "snapshot bytes depend on worker count");
 }
 
 /// The golden bytes decode back to an engine that re-serializes to the

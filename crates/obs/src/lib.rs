@@ -12,8 +12,6 @@
 //!   deterministically with [`Registry::merge_from`]; tail latencies
 //!   come out of a histogram via
 //!   [`Histogram::quantile_upper_bound`].
-//! * [`wire`] — the single-line JSON wire format bench agent
-//!   processes use to ship their histograms to the orchestrator.
 //! * [`Span`] — wall-clock stage timing routed through the single
 //!   D1-allowlisted [`timing`] module. Span durations are *reported
 //!   only* and never enter a snapshot.
@@ -34,7 +32,6 @@ pub mod snapshot;
 pub mod span;
 pub mod timing;
 pub mod trace;
-pub mod wire;
 
 pub use merge::{merge_snapshots, MergeError, MergePlan};
 pub use registry::{Histogram, Registry, TimingStat, HISTOGRAM_BUCKETS};

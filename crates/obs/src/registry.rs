@@ -92,7 +92,7 @@ impl Histogram {
     /// `q = 0.5` is the median and `q = 1.0` the maximum's bucket.
     /// Because buckets are log₂-sized the true observation lies in
     /// `[bucket_lower_bound, bucket_upper_bound]` — the reported value
-    /// overstates it by at most 2x (the harness documents this bound).
+    /// overstates it by at most 2x.
     /// `None` when the histogram is empty or `q` is outside `[0, 1]`
     /// or NaN.
     #[must_use]
@@ -463,6 +463,20 @@ mod tests {
         assert_eq!(h.sum(), u64::MAX, "merge saturates too");
         assert_eq!(h.count(), 4);
         assert_eq!(h.quantile_upper_bound(1.0), Some(u64::MAX));
+    }
+
+    #[test]
+    fn from_parts_rejects_inconsistent_parts() {
+        let valid = Histogram::from_parts(3, 7, [(0, 1), (3, 2)]).expect("consistent parts");
+        assert_eq!(valid.count(), 3);
+        assert_eq!(valid.nonzero_buckets().collect::<Vec<_>>(), vec![(0, 1), (3, 2)]);
+        for (what, parts) in [
+            ("counts do not sum to count", Histogram::from_parts(2, 0, [(0, 1)])),
+            ("bucket index out of range", Histogram::from_parts(1, 0, [(HISTOGRAM_BUCKETS, 1)])),
+            ("bucket total overflows", Histogram::from_parts(0, 0, [(0, u64::MAX), (1, 1)])),
+        ] {
+            assert_eq!(parts, None, "should reject: {what}");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Property tests for histogram merging and the wire round-trip: the
-//! algebra the process-based bench harness depends on when it combines
-//! per-agent histograms in whatever order the agents exited.
+//! Property tests for histogram merging and the parts round-trip: the
+//! algebra shard snapshot merging and snapshot restore depend on when
+//! they rebuild histograms and combine them in any order.
 
 use pphcr_obs::Histogram;
 use proptest::prelude::*;
@@ -60,11 +60,11 @@ proptest! {
     }
 
     #[test]
-    fn wire_round_trip_is_identity(
+    fn parts_round_trip_is_identity(
         values in prop::collection::vec(0u64..u64::MAX, 0..64),
     ) {
         let h = from_values(&values);
-        let back = Histogram::from_wire_json(&h.to_wire_json());
+        let back = Histogram::from_parts(h.count(), h.sum(), h.nonzero_buckets());
         prop_assert_eq!(back, Some(h));
     }
 

@@ -1,9 +1,8 @@
 //! The experiment harness: one function per experiment in `DESIGN.md`.
 //!
 //! Each function reproduces one figure or claim of the paper and
-//! returns printable rows; `pphcr-bench` wraps them in Criterion
-//! benches and the `experiments` binary prints the tables recorded in
-//! `EXPERIMENTS.md`.
+//! returns printable rows; the `experiments` binary in `pphcr-bench`
+//! prints the tables recorded in `EXPERIMENTS.md`.
 
 use crate::corpus::CorpusGenerator;
 use crate::listener::{ListenerModel, SessionMetrics};

@@ -14,9 +14,8 @@
 //! * [`listener`] — the listener behaviour model: how a simulated
 //!   person with tastes reacts to played content (listen, like, skip,
 //!   channel-surf),
-//! * [`experiments`] — the harness the benches call: each function
-//!   reproduces one experiment of `DESIGN.md` and returns printable
-//!   rows,
+//! * [`experiments`] — one function per experiment of `DESIGN.md`,
+//!   each returning printable rows for the `experiments` binary,
 //! * [`chaos`] — seeded end-to-end fault profiles (lossy wire, flaky
 //!   unicast) for the chaos suite and experiment E12,
 //! * [`crash`] — the crash-recovery sweep: kill the platform at every
@@ -31,7 +30,6 @@ pub mod crash;
 pub mod experiments;
 pub mod listener;
 pub mod population;
-pub mod scenarios;
 pub mod timing;
 pub mod world;
 
