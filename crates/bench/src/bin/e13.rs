@@ -35,7 +35,7 @@
 //!   sub-noise wall times cannot fake a percentage, default 0.02.
 //! * `E13_OBS_OUT` — snapshot artifact path, default `OBS_SNAPSHOT.json`.
 
-use pphcr_core::json::JsonWriter;
+use pphcr_obs::JsonWriter;
 use pphcr_sim::experiments::{e13_obs_overhead, e13_retrieval, e13_tick_grid, e13_tick_scaling};
 use std::process::ExitCode;
 
@@ -152,8 +152,7 @@ fn main() -> ExitCode {
         .field_u64("events", obs.events);
     w.end_object();
     w.end_object();
-    let mut doc = w.finish();
-    doc.push('\n');
+    let doc = w.finish();
     // lint: allow(fsync-free-write) — bench artifact, not durable state; loss on crash is fine
     std::fs::write(&out_path, doc).expect("write BENCH_e13.json");
     println!("wrote {out_path}");

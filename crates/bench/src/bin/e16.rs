@@ -40,8 +40,8 @@
 //!
 //! Exits non-zero on any identity divergence or spawn failure.
 
-use pphcr_core::json::JsonWriter;
 use pphcr_obs::timing::stopwatch;
+use pphcr_obs::JsonWriter;
 use pphcr_shard::{
     commands, run_single, run_single_windowed, tick_heavy, ProcessShard, Router, SingleRun,
 };
@@ -221,8 +221,7 @@ fn main() -> ExitCode {
     w.end_array();
     w.end_object();
     w.end_object();
-    let mut doc = w.finish();
-    doc.push('\n');
+    let doc = w.finish();
     // lint: allow(fsync-free-write) — bench artifact, not durable state; loss on crash is fine
     std::fs::write(&out_path, doc).expect("write BENCH_e16.json");
     println!("wrote {out_path}");

@@ -12,9 +12,9 @@
 //! * `E14_SEEDS` — comma-separated chaos seeds, default `1,2,3`.
 //! * `E14_OUT` — output path, default `RECOVERY_SMOKE.json`.
 
-use pphcr_core::json::JsonWriter;
 use pphcr_core::persist::wal::scan;
 use pphcr_core::{DurableEngine, FileWal};
+use pphcr_obs::JsonWriter;
 use pphcr_sim::crash::{
     full_replay_identical, genesis_engine, kill_point_sweep, run_uninterrupted, scripted_ops,
 };
@@ -101,8 +101,7 @@ fn main() -> ExitCode {
     w.end_array();
     w.field_bool("ok", !failed);
     w.end_object();
-    let mut doc = w.finish();
-    doc.push('\n');
+    let doc = w.finish();
     // lint: allow(fsync-free-write) — CI artifact, not durable state; loss on crash is fine
     if let Err(e) = std::fs::write(&out_path, doc) {
         eprintln!("e14: cannot write {out_path}: {e}");

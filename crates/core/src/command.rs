@@ -133,19 +133,18 @@ pub enum EngineCommand {
         /// Logical time the player advances to.
         now: TimePoint,
     },
-    /// `Engine::set_coverage` — attaches the broadcast coverage map.
+    /// Attaches the broadcast coverage map.
     SetCoverage {
         /// The transmitter footprint map.
         coverage: CoverageMap,
     },
-    /// `Engine::set_road_network` — attaches the road network used for
-    /// distraction zones.
+    /// Attaches the road network used for distraction zones.
     SetRoadNetwork {
         /// The directed weighted road graph.
         network: RoadNetwork,
     },
-    /// `Engine::set_gazetteer` — attaches the gazetteer used to
-    /// geo-tag untagged archive clips from their transcripts.
+    /// Attaches the gazetteer used to geo-tag untagged archive clips
+    /// from their transcripts.
     SetGazetteer {
         /// The place-name dictionary.
         gazetteer: Gazetteer,

@@ -105,7 +105,7 @@ pub struct EngineConfig {
     /// A fix older than this at prediction time counts as a stale
     /// mobility input (lossy Tracking topic).
     pub stale_fix_after: TimeSpan,
-    /// Worker threads for [`Engine::tick_batch`]'s speculative
+    /// Worker threads for a batch [`Engine::run_tick`]'s speculative
     /// candidate-scoring phase. `1` disables threading.
     pub worker_threads: usize,
     /// Observability master switch: `false` swaps in a no-op registry
@@ -363,8 +363,9 @@ pub(crate) struct CachedCandidates {
     pub(crate) warmed_at: u64,
 }
 
-/// One consolidated engine-step request: the single entry point behind
-/// the historical `tick` / `tick_batch` / `tick_batch_with` wrappers.
+/// One consolidated engine-step request: the argument of
+/// [`Engine::run_tick`], the one tick entry point ([`Engine::tick`] is
+/// a single-user shorthand over it).
 #[derive(Debug, Clone)]
 pub struct TickRequest<'a> {
     /// Listeners to step, in order.
@@ -389,8 +390,7 @@ impl<'a> TickRequest<'a> {
         TickRequest { users: std::slice::from_ref(user), now, batch: false, workers: None }
     }
 
-    /// A population step with the shared preamble and warm phase (the
-    /// historical [`Engine::tick_batch`]).
+    /// A population step with the shared preamble and warm phase.
     #[must_use]
     pub fn batch(users: &'a [UserId], now: TimePoint) -> Self {
         TickRequest { users, now, batch: true, workers: None }
@@ -408,8 +408,7 @@ impl<'a> TickRequest<'a> {
 /// observability counters it moved.
 #[derive(Debug, Clone)]
 pub struct TickReport {
-    /// Events in delivery order — the same stream the historical
-    /// wrappers returned.
+    /// Events in delivery order.
     pub events: Vec<EngineEvent>,
     /// Counters incremented during this tick as `(name, delta)` pairs
     /// in name order. Empty when observability is disabled.
@@ -743,17 +742,9 @@ impl Engine {
         self.recovery_banner.as_deref()
     }
 
-    /// Starts a fluent [`EngineBuilder`] — the consolidated way to
-    /// attach coverage, road network and gazetteer at construction
-    /// time instead of through the post-hoc setters.
-    #[must_use]
-    pub fn builder() -> EngineBuilder {
-        EngineBuilder::new()
-    }
-
     /// Attaches the broadcast coverage map; every listener then gets a
     /// hysteretic bearer selector fed by their arriving fixes.
-    pub fn set_coverage(&mut self, coverage: CoverageMap) {
+    fn set_coverage(&mut self, coverage: CoverageMap) {
         self.coverage = Some(coverage);
     }
 
@@ -789,14 +780,14 @@ impl Engine {
     }
 
     /// Attaches the road network used for distraction zones.
-    pub fn set_road_network(&mut self, network: RoadNetwork) {
+    fn set_road_network(&mut self, network: RoadNetwork) {
         self.road_network = Some(network);
     }
 
     /// Attaches the gazetteer used to estimate geographic relevance of
     /// untagged archive clips from their transcripts (the paper's §3
     /// future work).
-    pub fn set_gazetteer(&mut self, gazetteer: Gazetteer) {
+    fn set_gazetteer(&mut self, gazetteer: Gazetteer) {
         self.gazetteer = Some(gazetteer);
     }
 
@@ -1349,44 +1340,8 @@ impl Engine {
         out
     }
 
-    /// One engine step for a whole population, sharing the telemetry
-    /// pump and warming contexts + candidate lists with a sharded
-    /// worker pool before the (authoritative) sequential commit loop.
-    ///
-    /// **Deprecated-style wrapper**: prefer [`Engine::run_tick`] with
-    /// [`TickRequest::batch`].
-    ///
-    /// # Errors
-    /// [`EngineError::UnknownUser`] for the first unregistered user in
-    /// the batch; nothing is mutated in that case.
-    pub fn tick_batch(
-        &mut self,
-        users: &[UserId],
-        now: TimePoint,
-    ) -> Result<Vec<EngineEvent>, EngineError> {
-        Ok(self.run_tick(&TickRequest::batch(users, now))?.events)
-    }
-
-    /// [`Self::tick_batch`] with an explicit worker count (`1` runs the
-    /// warm phase inline without spawning).
-    ///
-    /// **Deprecated-style wrapper**: prefer [`Engine::run_tick`] with
-    /// [`TickRequest::batch`] + [`TickRequest::with_workers`].
-    ///
-    /// # Errors
-    /// [`EngineError::UnknownUser`] for the first unregistered user in
-    /// the batch; nothing is mutated in that case.
-    pub fn tick_batch_with(
-        &mut self,
-        users: &[UserId],
-        now: TimePoint,
-        workers: usize,
-    ) -> Result<Vec<EngineEvent>, EngineError> {
-        Ok(self.run_tick(&TickRequest::batch(users, now).with_workers(workers))?.events)
-    }
-
-    /// The consolidated engine step: every historical tick entry point
-    /// is a thin wrapper over this.
+    /// The consolidated engine step: [`Engine::tick`], the shard
+    /// router and WAL replay all step the engine through this.
     ///
     /// For batch requests the telemetry is drained once for the whole
     /// batch — exactly what the first sequential step would do, so
@@ -2035,89 +1990,6 @@ impl Engine {
     }
 }
 
-/// Fluent engine construction, consolidating the historical
-/// `set_coverage` / `set_road_network` / `set_gazetteer` post-hoc
-/// setters into one builder:
-///
-/// ```
-/// use pphcr_core::{Engine, EngineConfig};
-///
-/// let engine = Engine::builder().config(EngineConfig::default()).build();
-/// assert_eq!(engine.repo.len(), 0);
-/// ```
-pub struct EngineBuilder {
-    config: EngineConfig,
-    coverage: Option<CoverageMap>,
-    road_network: Option<RoadNetwork>,
-    gazetteer: Option<Gazetteer>,
-}
-
-impl Default for EngineBuilder {
-    fn default() -> Self {
-        EngineBuilder::new()
-    }
-}
-
-impl EngineBuilder {
-    /// A builder starting from [`EngineConfig::default`].
-    #[must_use]
-    pub fn new() -> Self {
-        EngineBuilder {
-            config: EngineConfig::default(),
-            coverage: None,
-            road_network: None,
-            gazetteer: None,
-        }
-    }
-
-    /// Replaces the engine configuration.
-    #[must_use]
-    pub fn config(mut self, config: EngineConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Attaches the broadcast coverage map (see
-    /// [`Engine::set_coverage`]).
-    #[must_use]
-    pub fn coverage(mut self, coverage: CoverageMap) -> Self {
-        self.coverage = Some(coverage);
-        self
-    }
-
-    /// Attaches the road network used for distraction zones (see
-    /// [`Engine::set_road_network`]).
-    #[must_use]
-    pub fn road_network(mut self, network: RoadNetwork) -> Self {
-        self.road_network = Some(network);
-        self
-    }
-
-    /// Attaches the gazetteer for geo-tagging untagged archive clips
-    /// (see [`Engine::set_gazetteer`]).
-    #[must_use]
-    pub fn gazetteer(mut self, gazetteer: Gazetteer) -> Self {
-        self.gazetteer = Some(gazetteer);
-        self
-    }
-
-    /// Builds the engine and applies every attachment.
-    #[must_use]
-    pub fn build(self) -> Engine {
-        let mut engine = Engine::new(self.config);
-        if let Some(coverage) = self.coverage {
-            engine.set_coverage(coverage);
-        }
-        if let Some(network) = self.road_network {
-            engine.set_road_network(network);
-        }
-        if let Some(gazetteer) = self.gazetteer {
-            engine.set_gazetteer(gazetteer);
-        }
-        engine
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2536,17 +2408,20 @@ mod tests {
     fn tick_batch_rejects_unregistered_users() {
         let mut e = engine();
         let t = TimePoint::at(0, 9, 0, 0);
+        let batch = |e: &mut Engine, users: &[UserId]| {
+            e.run_tick(&TickRequest::batch(users, t)).map(|report| report.events)
+        };
         assert_eq!(
-            e.tick_batch(&[UserId(1), UserId(2)], t),
+            batch(&mut e, &[UserId(1), UserId(2)]),
             Err(EngineError::UnknownUser(UserId(1)))
         );
         // A mixed batch is rejected before any user ticks.
         e.register_user(profile(1), t);
         assert_eq!(
-            e.tick_batch(&[UserId(1), UserId(2)], t),
+            batch(&mut e, &[UserId(1), UserId(2)]),
             Err(EngineError::UnknownUser(UserId(2)))
         );
-        assert!(e.tick_batch(&[UserId(1)], t).expect("registered").is_empty());
+        assert!(batch(&mut e, &[UserId(1)]).expect("registered").is_empty());
     }
 
     /// End-to-end proactive flow: a commuter with history starts the

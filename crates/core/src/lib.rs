@@ -24,13 +24,11 @@ pub mod fault;
 pub mod health;
 pub(crate) mod hotstate;
 pub mod injection;
-pub mod json;
 pub mod netcost;
 pub mod persist;
 pub mod player;
 pub mod replacement;
 pub mod retry;
-pub mod snapshot;
 
 pub use bearer::{BearerClass, BearerSelector, CoverageMap};
 pub use command::EngineCommand;
@@ -40,8 +38,8 @@ pub use bus::{
 };
 pub use dashboard::{Dashboard, ObservabilityView};
 pub use engine::{
-    user_shard, CacheQuanta, Engine, EngineBuilder, EngineConfig, EngineError, EngineEvent,
-    TickReport, TickRequest,
+    user_shard, CacheQuanta, Engine, EngineConfig, EngineError, EngineEvent, TickReport,
+    TickRequest,
 };
 pub use fault::{
     transport_from_state, ChaosRng, FaultProfile, FaultyTransport, PerfectTransport, Transport,
@@ -57,4 +55,3 @@ pub use persist::{
 pub use player::{PlaybackMode, Player, PlayerEvent};
 pub use replacement::{ReplacementPlanner, ReplacementTimeline, TimelineEntry};
 pub use retry::{BackoffPolicy, DeliveryTracker};
-pub use snapshot::PlatformSnapshot;

@@ -1,8 +1,6 @@
-//! `LINT_REPORT.json` — the machine-readable result of a lint run.
-//!
-//! Hand-rolled JSON (the vendored serde stub has no serializer for
-//! arbitrary structs, and the linter must not depend on the crates it
-//! lints), matching the shape the CI artifact consumers expect:
+//! `LINT_REPORT.json` — the machine-readable result of a lint run,
+//! written through `pphcr-obs`'s [`JsonWriter`] in the workspace's
+//! shared pretty layout:
 //!
 //! ```json
 //! {
@@ -10,17 +8,36 @@
 //!   "functions_indexed": 1200,
 //!   "call_edges": 3400,
 //!   "wall_ms": 120,
-//!   "counts": {"D1": 0, "P4": 1, "stale-pragma": 0, "bad-pragma": 0},
+//!   "counts": {
+//!     "B1": 0,
+//!     …
+//!   },
 //!   "violations": [
-//!     {"file": "…", "line": 7, "rule": "P4", "name": "reach-panic",
-//!      "message": "…",
-//!      "chain": [{"symbol": "core::engine::Engine::run_tick",
-//!                 "file": "crates/core/src/engine.rs", "line": 1242},
-//!                …,
-//!                {"symbol": ".expect(", "file": "…", "line": 126}]}
+//!     {
+//!       "file": "…",
+//!       "line": 7,
+//!       "rule": "P4",
+//!       "name": "reach-panic",
+//!       "message": "…",
+//!       "chain": [
+//!         {
+//!           "symbol": "core::engine::Engine::run_tick",
+//!           "file": "crates/core/src/engine.rs",
+//!           "line": 1242
+//!         },
+//!         …
+//!       ]
+//!     }
 //!   ],
-//!   "stale_pragmas": [ … ],
-//!   "rules": [ {"id": "D1", "name": "wall-clock", "rationale": "…"} ]
+//!   "stale_pragmas": [],
+//!   "rules": [
+//!     {
+//!       "id": "D1",
+//!       "name": "wall-clock",
+//!       "rationale": "…"
+//!     },
+//!     …
+//!   ]
 //! }
 //! ```
 //!
@@ -29,6 +46,8 @@
 //! CI artifact can be replayed hop by hop against the sources.
 
 use std::collections::BTreeMap;
+
+use pphcr_obs::JsonWriter;
 
 use crate::rules::{Violation, BAD_PRAGMA, RULES, STALE_PRAGMA};
 
@@ -98,93 +117,63 @@ impl LintReport {
     /// Serializes the report as pretty-printed JSON.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
-        out.push_str(&format!("  \"functions_indexed\": {},\n", self.functions_indexed));
-        out.push_str(&format!("  \"call_edges\": {},\n", self.call_edges));
+        let mut w = JsonWriter::new();
+        w.begin_object()
+            .field_u64("files_scanned", self.files_scanned as u64)
+            .field_u64("functions_indexed", self.functions_indexed as u64)
+            .field_u64("call_edges", self.call_edges as u64);
         if let Some(ms) = self.wall_ms {
-            out.push_str(&format!("  \"wall_ms\": {ms},\n"));
+            w.field_u64("wall_ms", ms);
         }
-        out.push_str("  \"counts\": {");
-        let counts = self.counts();
-        for (i, (id, n)) in counts.iter().enumerate() {
-            out.push_str(&format!("{}{}: {}", if i == 0 { "" } else { ", " }, json_str(id), n));
+        w.begin_named_object("counts");
+        for (id, n) in self.counts() {
+            w.field_u64(id, n as u64);
         }
-        out.push_str("},\n");
-        out.push_str("  \"violations\": [\n");
-        push_violations(&mut out, &self.violations);
-        out.push_str("  ],\n  \"stale_pragmas\": [\n");
-        push_violations(&mut out, &self.stale_pragmas);
-        out.push_str("  ],\n  \"rules\": [\n");
-        for (i, r) in RULES.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"id\": {}, \"name\": {}, \"rationale\": {}}}{}\n",
-                json_str(r.id),
-                json_str(r.name),
-                json_str(r.rationale),
-                if i + 1 < RULES.len() { "," } else { "" }
-            ));
+        w.end_object();
+        write_violations(&mut w, "violations", &self.violations);
+        write_violations(&mut w, "stale_pragmas", &self.stale_pragmas);
+        w.begin_named_array("rules");
+        for r in RULES {
+            w.begin_object()
+                .field_str("id", r.id)
+                .field_str("name", r.name)
+                .field_str("rationale", r.rationale)
+                .end_object();
         }
-        out.push_str("  ]\n}\n");
-        out
+        w.end_array().end_object();
+        w.finish()
     }
 }
 
-fn push_violations(out: &mut String, violations: &[Violation]) {
-    for (i, v) in violations.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"file\": {}, \"line\": {}, \"rule\": {}, \"name\": {}, \"message\": {}",
-            json_str(&v.file),
-            v.line,
-            json_str(&v.rule_id),
-            json_str(&v.rule_name),
-            json_str(&v.message),
-        ));
+fn write_violations(w: &mut JsonWriter, key: &str, violations: &[Violation]) {
+    w.begin_named_array(key);
+    for v in violations {
+        w.begin_object()
+            .field_str("file", &v.file)
+            .field_u64("line", v.line as u64)
+            .field_str("rule", &v.rule_id)
+            .field_str("name", &v.rule_name)
+            .field_str("message", &v.message);
         if !v.chain.is_empty() {
-            out.push_str(", \"chain\": [");
-            for (j, hop) in v.chain.iter().enumerate() {
-                out.push_str(&format!(
-                    "{}{{\"symbol\": {}, \"file\": {}, \"line\": {}}}",
-                    if j == 0 { "" } else { ", " },
-                    json_str(&hop.symbol),
-                    json_str(&hop.file),
-                    hop.line
-                ));
+            w.begin_named_array("chain");
+            for hop in &v.chain {
+                w.begin_object()
+                    .field_str("symbol", &hop.symbol)
+                    .field_str("file", &hop.file)
+                    .field_u64("line", hop.line as u64)
+                    .end_object();
             }
-            out.push(']');
+            w.end_array();
         }
-        out.push_str(&format!("}}{}\n", if i + 1 < violations.len() { "," } else { "" }));
+        w.end_object();
     }
-}
-
-/// Escapes a string for JSON output.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    w.end_array();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rules::ChainHop;
-
-    #[test]
-    fn escapes_json_strings() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-    }
 
     #[test]
     fn clean_report_round_trips() {

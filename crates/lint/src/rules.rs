@@ -5,9 +5,9 @@
 //! Three families back three workspace guarantees:
 //!
 //! * **D — determinism** protects the bit-identical event streams of
-//!   PR 2 (`tick_batch` across 1/2/8 workers) and the seeded chaos
-//!   replay of PR 1: no wall-clock reads, no OS-entropy RNGs, no
-//!   hash-order iteration where ordering can feed the event stream.
+//!   batch ticks across 1/2/8 workers and the seeded chaos replay: no
+//!   wall-clock reads, no OS-entropy RNGs, no hash-order iteration
+//!   where ordering can feed the event stream.
 //! * **P — panic-freedom** protects the unattended in-vehicle loop:
 //!   no `unwrap`/`expect`/`panic!` family calls in non-test code of
 //!   the engine-facing crates.

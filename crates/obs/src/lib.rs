@@ -9,9 +9,7 @@
 //! * [`Registry`] — named counters, gauges and power-of-two-bucket
 //!   [`Histogram`]s with exact `u64` counts (no floats on the hot
 //!   path). Per-shard registries from the parallel warm phase merge
-//!   deterministically with [`Registry::merge_from`]; tail latencies
-//!   come out of a histogram via
-//!   [`Histogram::quantile_upper_bound`].
+//!   deterministically with [`Registry::merge_from`].
 //! * [`Span`] — wall-clock stage timing routed through the single
 //!   D1-allowlisted [`timing`] module. Span durations are *reported
 //!   only* and never enter a snapshot.
@@ -22,10 +20,13 @@
 //! * [`ObsSnapshot`] — a stable pretty-JSON export of all of the
 //!   above, byte-identical across runs and worker counts for the same
 //!   seeded inputs.
+//! * [`JsonWriter`] — the workspace's one JSON encoder; the snapshot,
+//!   the lint report and the bench artifacts all write through it.
 //!
 //! The crate has no dependencies, so every other workspace crate can
 //! embed it without cycles.
 
+pub mod json;
 pub mod merge;
 pub mod registry;
 pub mod snapshot;
@@ -33,6 +34,7 @@ pub mod span;
 pub mod timing;
 pub mod trace;
 
+pub use json::JsonWriter;
 pub use merge::{merge_snapshots, MergeError, MergePlan};
 pub use registry::{Histogram, Registry, TimingStat, HISTOGRAM_BUCKETS};
 pub use snapshot::{HistogramSnapshot, ObsSnapshot};

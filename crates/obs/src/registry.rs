@@ -65,56 +65,6 @@ impl Histogram {
         self.buckets.iter().enumerate().filter(|(_, c)| **c > 0).map(|(i, c)| (i, *c))
     }
 
-    /// Smallest value a bucket can hold: 0 for bucket 0, else
-    /// `2^(i-1)`. Out-of-range indexes clamp to the last bucket.
-    #[must_use]
-    pub fn bucket_lower_bound(index: usize) -> u64 {
-        match index.min(HISTOGRAM_BUCKETS - 1) {
-            0 => 0,
-            i => 1u64 << (i - 1),
-        }
-    }
-
-    /// Largest value a bucket can hold: 0 for bucket 0, `2^i - 1` for
-    /// bucket `i`, saturating at `u64::MAX` for the final bucket.
-    #[must_use]
-    pub fn bucket_upper_bound(index: usize) -> u64 {
-        match index.min(HISTOGRAM_BUCKETS - 1) {
-            0 => 0,
-            64 => u64::MAX,
-            i => (1u64 << i) - 1,
-        }
-    }
-
-    /// Upper bound of the bucket holding the `q`-quantile observation.
-    ///
-    /// The rank is `ceil(q * count)` clamped to `[1, count]`, so
-    /// `q = 0.5` is the median and `q = 1.0` the maximum's bucket.
-    /// Because buckets are log₂-sized the true observation lies in
-    /// `[bucket_lower_bound, bucket_upper_bound]` — the reported value
-    /// overstates it by at most 2x.
-    /// `None` when the histogram is empty or `q` is outside `[0, 1]`
-    /// or NaN.
-    #[must_use]
-    pub fn quantile_upper_bound(&self, q: f64) -> Option<u64> {
-        if self.count == 0 || !(0.0..=1.0).contains(&q) {
-            return None;
-        }
-        // `q * count <= count <= 2^53`-ish fleets keep this exact; the
-        // clamp makes even a saturated count safe.
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (i, c) in self.buckets.iter().enumerate() {
-            seen = seen.saturating_add(*c);
-            if seen >= rank {
-                return Some(Self::bucket_upper_bound(i));
-            }
-        }
-        // Bucket counts always sum to `count`, so the walk cannot fall
-        // through; a corrupt histogram reports its top bucket.
-        Some(Self::bucket_upper_bound(HISTOGRAM_BUCKETS - 1))
-    }
-
     /// Adds another histogram's observations into this one.
     pub fn merge_from(&mut self, other: &Histogram) {
         for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
@@ -381,75 +331,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_histogram_has_no_quantiles() {
-        let h = Histogram::default();
-        for q in [0.0, 0.5, 0.99, 1.0] {
-            assert_eq!(h.quantile_upper_bound(q), None);
-        }
-    }
-
-    #[test]
-    fn out_of_range_quantiles_are_none() {
-        let mut h = Histogram::default();
-        h.record(3);
-        assert_eq!(h.quantile_upper_bound(-0.01), None);
-        assert_eq!(h.quantile_upper_bound(1.01), None);
-        assert_eq!(h.quantile_upper_bound(f64::NAN), None);
-    }
-
-    #[test]
-    fn quantiles_walk_the_buckets_in_rank_order() {
-        let mut h = Histogram::default();
-        // 90 observations of 1 (bucket 1), 9 of 100 (bucket 7, upper
-        // 127), 1 of 10_000 (bucket 14, upper 16_383).
-        for _ in 0..90 {
-            h.record(1);
-        }
-        for _ in 0..9 {
-            h.record(100);
-        }
-        h.record(10_000);
-        assert_eq!(h.quantile_upper_bound(0.5), Some(1));
-        assert_eq!(h.quantile_upper_bound(0.9), Some(1));
-        assert_eq!(h.quantile_upper_bound(0.95), Some(127));
-        assert_eq!(h.quantile_upper_bound(0.99), Some(127));
-        assert_eq!(h.quantile_upper_bound(1.0), Some(16_383));
-        // q=0 clamps to rank 1: the smallest observation's bucket.
-        assert_eq!(h.quantile_upper_bound(0.0), Some(1));
-    }
-
-    #[test]
-    fn quantile_bound_brackets_the_true_value() {
-        let mut h = Histogram::default();
-        for v in [0u64, 5, 17, 900, 4096] {
-            h.record(v);
-        }
-        for q in [0.1, 0.5, 0.9, 0.99] {
-            let ub = h.quantile_upper_bound(q).unwrap();
-            let i = Histogram::bucket_index(ub);
-            assert!(Histogram::bucket_lower_bound(i) <= ub);
-            assert_eq!(Histogram::bucket_upper_bound(i), ub);
-        }
-    }
-
-    #[test]
-    fn bucket_bounds_cover_the_domain() {
-        assert_eq!(Histogram::bucket_lower_bound(0), 0);
-        assert_eq!(Histogram::bucket_upper_bound(0), 0);
-        assert_eq!(Histogram::bucket_lower_bound(1), 1);
-        assert_eq!(Histogram::bucket_upper_bound(1), 1);
-        assert_eq!(Histogram::bucket_lower_bound(11), 1024);
-        assert_eq!(Histogram::bucket_upper_bound(11), 2047);
-        assert_eq!(Histogram::bucket_upper_bound(64), u64::MAX);
-        // Out-of-range indexes clamp instead of shifting past the word.
-        assert_eq!(Histogram::bucket_upper_bound(400), u64::MAX);
-        for v in [0u64, 1, 2, 3, 1023, 1024, u64::MAX] {
-            let i = Histogram::bucket_index(v);
-            assert!(Histogram::bucket_lower_bound(i) <= v && v <= Histogram::bucket_upper_bound(i));
-        }
-    }
-
-    #[test]
     fn sum_saturates_at_u64_max() {
         let mut h = Histogram::default();
         h.record(u64::MAX);
@@ -462,7 +343,6 @@ mod tests {
         h.merge_from(&other);
         assert_eq!(h.sum(), u64::MAX, "merge saturates too");
         assert_eq!(h.count(), 4);
-        assert_eq!(h.quantile_upper_bound(1.0), Some(u64::MAX));
     }
 
     #[test]

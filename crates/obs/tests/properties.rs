@@ -67,20 +67,4 @@ proptest! {
         let back = Histogram::from_parts(h.count(), h.sum(), h.nonzero_buckets());
         prop_assert_eq!(back, Some(h));
     }
-
-    #[test]
-    fn quantiles_are_monotone_in_q(
-        values in prop::collection::vec(0u64..u64::MAX, 1..64),
-    ) {
-        let h = from_values(&values);
-        let p50 = h.quantile_upper_bound(0.50).unwrap();
-        let p95 = h.quantile_upper_bound(0.95).unwrap();
-        let p99 = h.quantile_upper_bound(0.99).unwrap();
-        prop_assert!(p50 <= p95 && p95 <= p99);
-        // The q=1 bound brackets the true maximum within its bucket.
-        let max = *values.iter().max().unwrap();
-        let top = h.quantile_upper_bound(1.0).unwrap();
-        prop_assert!(top >= max);
-        prop_assert!(Histogram::bucket_lower_bound(Histogram::bucket_index(top)) <= max);
-    }
 }

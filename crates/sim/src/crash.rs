@@ -13,7 +13,9 @@
 //! the baseline:
 //!
 //! * the per-record event stream ([`ApplyResult::lines`]),
-//! * the `PlatformSnapshot` JSON at the end of the run,
+//! * the persisted engine state at the end of the run
+//!   ([`snapshot_engine`] bytes: catalog, listeners, bus transport and
+//!   RNGs, dead letters, sessions, decisions, obs registry),
 //! * the `ObsSnapshot` JSON (counters, gauges, histograms, traces).
 //!
 //! Any divergence is reported with the kill point that produced it, so
@@ -25,7 +27,7 @@ use pphcr_core::persist::snapshot_engine;
 use pphcr_core::persist::wal::encode_record;
 use pphcr_core::{
     restore_engine, ApplyResult, CoverageMap, DurableEngine, Engine, EngineConfig, FaultProfile,
-    FaultyTransport, MemWal, PlatformSnapshot, UnicastLink, WalOp, WalRecord,
+    FaultyTransport, MemWal, UnicastLink, WalOp, WalRecord,
 };
 use pphcr_geo::{GeoPoint, NodeKind, ProjectedPoint, RoadNetwork, TimePoint, TimeSpan};
 use pphcr_trajectory::GpsFix;
@@ -42,12 +44,6 @@ const ORIGIN: (f64, f64) = (45.0703, 7.6869);
 /// Logical start of the scripted day.
 fn t0() -> TimePoint {
     TimePoint::at(0, 9, 0, 0)
-}
-
-/// Logical time the final identity snapshots are captured at.
-#[must_use]
-pub fn final_time() -> TimePoint {
-    t0().advance(TimeSpan::minutes(40))
 }
 
 /// The genesis engine every run (baseline and recovered) starts from:
@@ -239,16 +235,18 @@ pub fn scripted_ops(seed: u64) -> Vec<WalOp> {
 pub struct RunTrace {
     /// Per-record outcome lines, in log order.
     pub lines: Vec<String>,
-    /// `PlatformSnapshot` JSON captured at [`final_time`].
-    pub platform_json: String,
+    /// [`snapshot_engine`] bytes of the final engine.
+    pub state: Vec<u8>,
     /// `ObsSnapshot` JSON (timings are excluded by design).
     pub obs_json: String,
 }
 
-fn capture(engine: &Engine) -> (String, String) {
-    let platform = PlatformSnapshot::capture(engine, final_time()).to_json();
-    let obs = engine.obs_snapshot().to_json();
-    (platform, obs)
+fn capture(engine: &Engine) -> (Vec<u8>, String) {
+    // The only snapshot failure is a transport without exportable
+    // state; every run here keeps the genesis `FaultyTransport`, whose
+    // snapshot the sweep has already taken.
+    let state = snapshot_engine(engine, 0).unwrap_or_default();
+    (state, engine.obs_snapshot().to_json())
 }
 
 /// Runs the full script uninterrupted through a [`DurableEngine`],
@@ -264,8 +262,8 @@ pub fn run_uninterrupted(seed: u64) -> (RunTrace, Vec<u8>) {
         }
     }
     let (engine, wal) = durable.into_parts();
-    let (platform_json, obs_json) = capture(&engine);
-    (RunTrace { lines, platform_json, obs_json }, wal.into_bytes())
+    let (state, obs_json) = capture(&engine);
+    (RunTrace { lines, state, obs_json }, wal.into_bytes())
 }
 
 /// One crash point in the sweep.
@@ -340,8 +338,8 @@ fn recover_and_continue(
         }
     }
     let (engine, _) = durable.into_parts();
-    let (platform_json, obs_json) = capture(&engine);
-    Ok(RunTrace { lines, platform_json, obs_json })
+    let (state, obs_json) = capture(&engine);
+    Ok(RunTrace { lines, state, obs_json })
 }
 
 fn diff_trace(kill: KillPoint, got: &RunTrace, want: &RunTrace) -> Option<String> {
@@ -362,8 +360,8 @@ fn diff_trace(kill: KillPoint, got: &RunTrace, want: &RunTrace) -> Option<String
             want.lines.len()
         ));
     }
-    if got.platform_json != want.platform_json {
-        return Some(format!("{at}: PlatformSnapshot JSON diverged"));
+    if got.state != want.state {
+        return Some(format!("{at}: persisted engine state diverged"));
     }
     if got.obs_json != want.obs_json {
         return Some(format!("{at}: ObsSnapshot JSON diverged"));
@@ -374,8 +372,8 @@ fn diff_trace(kill: KillPoint, got: &RunTrace, want: &RunTrace) -> Option<String
 /// Kills the scripted run at every WAL record boundary and at
 /// mid-record torn tails (1 byte, half, all-but-one of the next
 /// frame), recovers from the genesis snapshot plus the cut log,
-/// finishes the script, and diffs the event stream, `PlatformSnapshot`
-/// JSON and `ObsSnapshot` JSON against the uninterrupted run.
+/// finishes the script, and diffs the event stream, persisted engine
+/// state and `ObsSnapshot` JSON against the uninterrupted run.
 #[must_use]
 pub fn kill_point_sweep(seed: u64) -> SweepReport {
     let ops = scripted_ops(seed);
@@ -445,8 +443,8 @@ pub fn full_replay_identical(seed: u64) -> bool {
         return false;
     }
     let lines: Vec<String> = report.replayed.iter().flat_map(ApplyResult::lines).collect();
-    let (platform_json, obs_json) = capture(&engine);
-    RunTrace { lines, platform_json, obs_json } == baseline
+    let (state, obs_json) = capture(&engine);
+    RunTrace { lines, state, obs_json } == baseline
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! Run with `cargo run --example editorial_dashboard`.
 
 use pphcr::catalog::{CategoryId, ClipKind, Gazetteer, ServiceIndex};
-use pphcr::core::{Dashboard, Engine, EngineConfig, PlaybackMode};
+use pphcr::core::{Dashboard, Engine, EngineCommand, EngineConfig, PlaybackMode};
 use pphcr::geo::{GeoPoint, TimePoint, TimeSpan};
 use pphcr::trajectory::GpsFix;
 use pphcr::userdata::{AgeBand, FeedbackEvent, FeedbackKind, UserId, UserProfile};
@@ -13,11 +13,12 @@ use pphcr::userdata::{AgeBand, FeedbackEvent, FeedbackKind, UserId, UserProfile}
 fn main() {
     let center = GeoPoint::new(45.0703, 7.6869);
     // The gazetteer feeds geo estimation of untagged archive clips
-    // (the paper's future-work feature); it is attached at build time
-    // through the fluent builder.
+    // (the paper's future-work feature); like every mutation it is
+    // attached through `Engine::apply`.
     let mut gazetteer = Gazetteer::new();
     gazetteer.add_place("fairground", center.destination(45.0, 4_000.0), 1_200.0);
-    let mut engine = Engine::builder().config(EngineConfig::default()).gazetteer(gazetteer).build();
+    let mut engine = Engine::new(EngineConfig::default());
+    engine.apply(&EngineCommand::SetGazetteer { gazetteer }).expect("attaching cannot fail");
     let listener = UserId(42);
     let t0 = TimePoint::at(0, 7, 0, 0);
     engine.register_user(

@@ -5,7 +5,8 @@
 //! and at mid-record torn tails, restored from the genesis snapshot
 //! plus the cut log, and driven to completion. The recovered run must
 //! be byte-identical to the uninterrupted one: same per-record event
-//! stream, same `PlatformSnapshot` JSON, same `ObsSnapshot` JSON.
+//! stream, same persisted engine state (`snapshot_engine` bytes), same
+//! `ObsSnapshot` JSON.
 
 use pphcr::sim::crash::{full_replay_identical, kill_point_sweep};
 
