@@ -1,28 +1,21 @@
-//! The unified engine mutation surface.
+//! The engine mutation surface.
 //!
-//! [`EngineCommand`] is the *one* shape every externally-driven engine
-//! mutation takes. Historically each mutation was its own method on
-//! [`Engine`](crate::Engine) (`register_user`, `change_service`, …)
-//! and the WAL mirrored them with a parallel `WalOp` enum; three
-//! consumers — the durable write-ahead path, WAL replay, and now the
-//! multi-process shard router — each had to enumerate that per-method
-//! RPC zoo independently. This module collapses the three surfaces
-//! into one:
+//! [`EngineCommand`] is the one shape every externally driven engine
+//! mutation takes, and [`Engine::apply`](crate::Engine::apply) is the
+//! one public way to execute it. The paper's platform is a single
+//! pipeline fed by a closed set of inputs (registrations, GPS fixes,
+//! feedback, clip ingests, editorial pushes); this enum is that set,
+//! plus the ticks that step the pipeline and the environment maps it
+//! reads.
 //!
-//! * the typed command enum below (the former `WalOp`, which is now an
-//!   alias for it),
-//! * a single entry point, [`Engine::apply`](crate::Engine::apply),
-//!   that executes any command,
-//! * one binary codec in [`persist::wal`](crate::persist) — the same
-//!   `[seq][kind][body]` payload whether the bytes are headed for a
-//!   WAL file or a shard agent's stdin.
-//!
-//! The named methods remain as thin wrappers (they are the readable
-//! call-site spelling), but `DurableEngine`, `restore_engine` and the
-//! `pphcr-shard` router all forward `EngineCommand` values and nothing
-//! else. The set is closed: replaying a command log reproduces the
-//! engine bit-for-bit, which is what the crash-recovery sweep and the
-//! shard differential test both pin.
+//! Three consumers carry commands without knowing what they do: the
+//! durable write-ahead path (`DurableEngine`), WAL replay
+//! (`restore_engine`) and the `pphcr-shard` router. All three use one
+//! binary codec in [`persist::wal`](crate::persist::wal), the same
+//! `[seq][kind][body]` payload whether the bytes go to a WAL file or a
+//! shard agent's stdin. Because the set is closed and has no second
+//! spelling, replaying a command log reproduces the engine bit-for-bit,
+//! which the crash-recovery sweep and the shard differential both pin.
 
 use crate::bearer::CoverageMap;
 use pphcr_audio::ClipId;
@@ -38,14 +31,16 @@ use pphcr_userdata::{FeedbackEvent, UserId, UserProfile};
 /// commands without knowing what they do.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EngineCommand {
-    /// `Engine::register_user`.
+    /// Registers (or re-registers) a listener: stores the profile and
+    /// opens a player session on the listener's favourite service.
     RegisterUser {
         /// The listener profile being registered (or re-registered).
         profile: UserProfile,
         /// Logical time of the registration.
         now: TimePoint,
     },
-    /// `Engine::change_service`.
+    /// Channel surf: tunes the listener to another service, closing
+    /// the current listening session as surfed.
     ChangeService {
         /// The listener switching service.
         user: UserId,
@@ -54,14 +49,17 @@ pub enum EngineCommand {
         /// Logical time of the switch.
         now: TimePoint,
     },
-    /// `Engine::train_classifier`.
+    /// Trains the clip classifier with one labelled document.
     TrainClassifier {
         /// Category the document is labelled with.
         category: CategoryId,
         /// Transcript tokens of the training document.
         tokens: Vec<String>,
     },
-    /// `Engine::ingest_clip`.
+    /// Ingests a clip: classifies the transcript (unless an editorial
+    /// label is given), stores metadata and audio, and announces it on
+    /// the bus. Clip ids are dense in ingest order: the n-th ingest
+    /// files `ClipId(n)`, and a restored engine continues the sequence.
     IngestClip {
         /// Clip title.
         title: String,
@@ -78,19 +76,23 @@ pub enum EngineCommand {
         /// Editorial category override, if any.
         editorial: Option<CategoryId>,
     },
-    /// `Engine::record_fix`.
+    /// Records a GPS fix from a listener's device. The fix rides the
+    /// bus's Tracking topic, so a faulty transport may lose or delay it.
     RecordFix {
         /// The listener the fix belongs to.
         user: UserId,
         /// The GPS fix.
         fix: GpsFix,
     },
-    /// `Engine::record_feedback`.
+    /// Records a feedback event. Like fixes, feedback rides the bus and
+    /// is learned from once it arrives.
     RecordFeedback {
         /// The feedback event.
         event: FeedbackEvent,
     },
-    /// `Engine::inject`.
+    /// Editor-side injection (the Fig. 6 dashboard action): queues a
+    /// clip for the listener's next tick, which delivers it ahead of
+    /// organic recommendations.
     Inject {
         /// Target listener.
         user: UserId,
@@ -101,14 +103,18 @@ pub enum EngineCommand {
         /// Editor's note.
         note: String,
     },
-    /// `Engine::skip`.
+    /// Manual skip (the Greg scenario): negative feedback for what is
+    /// playing, after refilling an empty queue with reactive
+    /// recommendations.
     Skip {
         /// The listener pressing skip.
         user: UserId,
         /// Logical time of the skip.
         now: TimePoint,
     },
-    /// `Engine::run_tick`.
+    /// Steps the listed users; the same step
+    /// [`Engine::run_tick`](crate::Engine::run_tick) takes for a
+    /// [`TickRequest`](crate::TickRequest) with these fields.
     Tick {
         /// Users ticked this round.
         users: Vec<UserId>,
@@ -119,14 +125,12 @@ pub enum EngineCommand {
         /// Explicit worker count, if pinned.
         workers: Option<u64>,
     },
-    /// `Engine::advance_player` — steps one listener's player against
-    /// the broadcast schedule and feeds the resulting player events
-    /// (feedback, clip-started bookkeeping) back into the engine.
-    ///
-    /// This is the durable replacement for the historical `player_mut`
-    /// escape hatch: driving a player through a command keeps the
-    /// mutation inside the append-before-apply envelope, so player
-    /// state survives crash recovery like every other store.
+    /// Steps one listener's player against the broadcast schedule and
+    /// feeds the resulting player events (feedback, clip-started
+    /// bookkeeping) back into the engine. Read the outcome from
+    /// [`Engine::player`](crate::Engine::player). Being a command, the
+    /// step is logged, so player state survives crash recovery like
+    /// every other store.
     AdvancePlayer {
         /// The listener whose player advances.
         user: UserId,

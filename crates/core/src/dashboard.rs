@@ -276,7 +276,9 @@ impl Dashboard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EngineConfig;
+    use crate::engine::{EngineConfig, TickRequest};
+    use crate::EngineCommand;
+    use pphcr_audio::ClipId;
     use pphcr_catalog::{CategoryId, ClipKind, ServiceIndex};
     use pphcr_geo::TimeSpan;
     use pphcr_trajectory::GpsFix;
@@ -284,15 +286,16 @@ mod tests {
 
     fn engine_with_user() -> Engine {
         let mut e = Engine::new(EngineConfig::default());
-        e.register_user(
-            UserProfile {
+        e.apply(&EngineCommand::RegisterUser {
+            profile: UserProfile {
                 id: UserId(1),
                 name: "Lilly".into(),
                 age_band: AgeBand::Young,
                 favourite_service: ServiceIndex(0),
             },
-            TimePoint::at(0, 8, 0, 0),
-        );
+            now: TimePoint::at(0, 8, 0, 0),
+        })
+        .unwrap();
         e
     }
 
@@ -300,13 +303,16 @@ mod tests {
     fn preference_panel_reflects_feedback() {
         let mut e = engine_with_user();
         let t = TimePoint::at(0, 9, 0, 0);
-        e.record_feedback(FeedbackEvent {
-            user: UserId(1),
-            clip: None,
-            category: CategoryId::new(8),
-            kind: FeedbackKind::Like,
-            time: t,
-        });
+        e.apply(&EngineCommand::RecordFeedback {
+            event: FeedbackEvent {
+                user: UserId(1),
+                clip: None,
+                category: CategoryId::new(8),
+                kind: FeedbackKind::Like,
+                time: t,
+            },
+        })
+        .unwrap();
         let view = Dashboard::preferences(&e, UserId(1), t);
         assert_eq!(view.event_count, 1);
         assert_eq!(view.ranked[0].0, "wine");
@@ -318,7 +324,11 @@ mod tests {
         let mut e = engine_with_user();
         let home = GeoPoint::new(45.0703, 7.6869);
         for i in 0..10u64 {
-            e.record_fix(UserId(1), GpsFix::new(home, TimePoint(i * 60), 0.1));
+            e.apply(&EngineCommand::RecordFix {
+                user: UserId(1),
+                fix: GpsFix::new(home, TimePoint(i * 60), 0.1),
+            })
+            .unwrap();
         }
         let view = Dashboard::trajectory(&mut e, UserId(1), 5);
         assert_eq!(view.recent.len(), 5);
@@ -335,16 +345,19 @@ mod tests {
     fn render_text_mentions_all_panels() {
         let mut e = engine_with_user();
         let t = TimePoint::at(0, 9, 0, 0);
-        let (clip, _) = e.ingest_clip(
-            "x",
-            ClipKind::Podcast,
-            TimeSpan::minutes(3),
-            t,
-            None,
-            &[],
-            Some(CategoryId::new(2)),
-        );
-        e.inject(UserId(1), clip, t, "note").unwrap();
+        e.apply(&EngineCommand::IngestClip {
+            title: "x".into(),
+            kind: ClipKind::Podcast,
+            duration: TimeSpan::minutes(3),
+            published: t,
+            geo: None,
+            tokens: vec![],
+            editorial: Some(CategoryId::new(2)),
+        })
+        .unwrap();
+        let clip = ClipId(0);
+        e.apply(&EngineCommand::Inject { user: UserId(1), clip, at: t, note: "note".into() })
+            .unwrap();
         let text = Dashboard::render_text(&mut e, UserId(1), t);
         assert!(text.contains("trajectory"));
         assert!(text.contains("preferences"));
@@ -358,7 +371,7 @@ mod tests {
     fn observability_panel_summarizes_counters() {
         let mut e = engine_with_user();
         let t = TimePoint::at(0, 9, 0, 0);
-        e.tick(UserId(1), t).expect("registered");
+        e.run_tick(&TickRequest::single(&UserId(1), t)).expect("registered");
         let view = Dashboard::observability(&e);
         assert_eq!(view.health, HealthCounts { healthy: 1, degraded: 0, broadcast_only: 0 });
         assert!(

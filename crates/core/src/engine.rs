@@ -364,8 +364,9 @@ pub(crate) struct CachedCandidates {
 }
 
 /// One consolidated engine-step request: the argument of
-/// [`Engine::run_tick`], the one tick entry point ([`Engine::tick`] is
-/// a single-user shorthand over it).
+/// [`Engine::run_tick`], the one tick entry point
+/// ([`EngineCommand::Tick`] carries the same fields through
+/// [`Engine::apply`]).
 #[derive(Debug, Clone)]
 pub struct TickRequest<'a> {
     /// Listeners to step, in order.
@@ -374,9 +375,8 @@ pub struct TickRequest<'a> {
     pub now: TimePoint,
     /// Run the shared batch preamble (bus clock advance, telemetry
     /// pump, parallel candidate-cache warm) once before the sequential
-    /// user loop. `false` reproduces the historical single-user
-    /// [`Engine::tick`] bit-exactly: each user's step performs its own
-    /// clock advance and pumps.
+    /// user loop. `false` steps each user on their own: each user's
+    /// step performs its own clock advance and pumps.
     pub batch: bool,
     /// Worker threads for the warm phase; `None` uses
     /// [`EngineConfig::worker_threads`]. Ignored unless `batch`.
@@ -384,7 +384,7 @@ pub struct TickRequest<'a> {
 }
 
 impl<'a> TickRequest<'a> {
-    /// A single-listener step (the historical [`Engine::tick`]).
+    /// A single-listener step: no shared preamble, no warm phase.
     #[must_use]
     pub fn single(user: &'a UserId, now: TimePoint) -> Self {
         TickRequest { users: std::slice::from_ref(user), now, batch: false, workers: None }
@@ -797,15 +797,21 @@ impl Engine {
         &self.config
     }
 
-    /// Executes one [`EngineCommand`] — the single entry point every
-    /// externally-driven mutation funnels through.
+    /// Executes one [`EngineCommand`]: the one public entry point for
+    /// engine mutations. Callers, `DurableEngine`'s write-ahead path,
+    /// WAL replay and the shard router all pass commands here, so no
+    /// second spelling can drift from the one that is logged. The only
+    /// other `&mut self` methods are [`Engine::run_tick`] (the `Tick`
+    /// command plus its counter deltas), [`Engine::context_for`]
+    /// (memoization only) and [`Engine::apply_player_events`] (player
+    /// events, which have no command).
     ///
-    /// The named methods (`register_user`, `inject`, …) remain the
-    /// readable call-site spelling, but they are now the *only* other
-    /// spelling: `DurableEngine`'s write-ahead path, WAL replay and the
-    /// shard router all pass commands here, so the three surfaces
-    /// cannot drift apart. Commands that emit engine events (ticks,
-    /// skips) return them; the rest return an empty vector.
+    /// Commands that emit engine events (ticks, skips) return them; the
+    /// rest return an empty vector. The other results are read back
+    /// from the engine: the n-th `IngestClip` files `ClipId(n)` (ids are
+    /// dense in ingest order, across snapshot restores too), its
+    /// category is in [`Engine::repo`], and an advanced player's state
+    /// is [`Engine::player`].
     ///
     /// # Errors
     /// Propagates the underlying entry point's [`EngineError`]
@@ -834,15 +840,7 @@ impl Engine {
                 tokens,
                 editorial,
             } => {
-                let _ = self.ingest_clip(
-                    title.clone(),
-                    *kind,
-                    *duration,
-                    *published,
-                    *geo,
-                    tokens,
-                    *editorial,
-                );
+                self.ingest_clip(title, *kind, *duration, *published, *geo, tokens, *editorial);
                 Ok(Vec::new())
             }
             EngineCommand::RecordFix { user, fix } => {
@@ -854,7 +852,7 @@ impl Engine {
                 Ok(Vec::new())
             }
             EngineCommand::Inject { user, clip, at, note } => {
-                self.inject(*user, *clip, *at, note.clone())?;
+                self.inject(*user, *clip, *at, note)?;
                 Ok(Vec::new())
             }
             EngineCommand::Skip { user, now } => Ok(self.skip(*user, *now)),
@@ -887,7 +885,7 @@ impl Engine {
     }
 
     /// Registers a listener and creates their player session.
-    pub fn register_user(&mut self, profile: UserProfile, now: TimePoint) {
+    fn register_user(&mut self, profile: UserProfile, now: TimePoint) {
         let user = profile.id;
         let service = profile.favourite_service;
         self.profiles.upsert(profile);
@@ -907,7 +905,7 @@ impl Engine {
     /// # Errors
     /// [`EngineError::UnknownUser`] when the listener was never
     /// registered.
-    pub fn change_service(
+    fn change_service(
         &mut self,
         user: UserId,
         service: pphcr_catalog::ServiceIndex,
@@ -923,37 +921,24 @@ impl Engine {
         Ok(())
     }
 
-    // `player_mut` is gone on purpose: handing out `&mut Player` let
-    // callers mutate player state outside the WAL's append-before-apply
-    // envelope, so those mutations silently vanished on crash recovery.
-    // External callers drive players through `advance_player` (or the
-    // `EngineCommand::AdvancePlayer` command), which is logged like
-    // every other input.
-
     /// Advances a listener's player to `now` against the broadcast
     /// schedule and feeds the resulting player events (feedback,
-    /// heard-set and session bookkeeping) back into the engine.
-    ///
-    /// This is the command-shaped replacement for handing out `&mut
-    /// Player`: the same step a tick performs for the player, available
-    /// on its own so editors and tests can audition playback without
-    /// running a full tick — and durably, since
-    /// [`EngineCommand::AdvancePlayer`] flows through the WAL.
+    /// heard-set and session bookkeeping) back into the engine: the
+    /// step a tick performs for the player, on its own, so editors and
+    /// tests can audition playback without running a full tick. There
+    /// is no `&mut Player` accessor; player state changes only here and
+    /// in ticks and skips, all of which the WAL logs.
     ///
     /// # Errors
     /// [`EngineError::UnknownUser`] when the listener was never
     /// registered.
-    pub fn advance_player(
-        &mut self,
-        user: UserId,
-        now: TimePoint,
-    ) -> Result<Vec<PlayerEvent>, EngineError> {
+    fn advance_player(&mut self, user: UserId, now: TimePoint) -> Result<(), EngineError> {
         let Some(player) = self.players.get_mut(&user) else {
             return Err(EngineError::UnknownUser(user));
         };
         let events = player.tick(now, &self.epg);
         self.apply_player_events(user, &events);
-        Ok(events)
+        Ok(())
     }
 
     /// Read access to a listener's player.
@@ -963,7 +948,7 @@ impl Engine {
     }
 
     /// Trains the clip classifier with one labelled document.
-    pub fn train_classifier(&mut self, category: CategoryId, tokens: &[String]) {
+    fn train_classifier(&mut self, category: CategoryId, tokens: &[String]) {
         let ids = self.vocab.intern_all(tokens);
         self.classifier.train(u32::from(category.0), &ids);
         self.classifier_docs += 1;
@@ -975,20 +960,20 @@ impl Engine {
         self.classifier_docs
     }
 
-    /// Ingests a clip: classify the transcript (unless an editorial
-    /// label is supplied), store metadata and audio, announce on the
-    /// bus. Returns the clip id and the category it was filed under.
+    /// Ingests a clip under the next dense id: classify the transcript
+    /// (unless an editorial label is supplied), store metadata and
+    /// audio, announce on the bus.
     #[allow(clippy::too_many_arguments)]
-    pub fn ingest_clip(
+    fn ingest_clip(
         &mut self,
-        title: impl Into<String>,
+        title: &str,
         kind: ClipKind,
         duration: TimeSpan,
         published: TimePoint,
         geo: Option<GeoTag>,
         transcript_tokens: &[String],
         editorial_category: Option<CategoryId>,
-    ) -> (ClipId, CategoryId) {
+    ) {
         let id = ClipId(self.next_clip_id);
         self.next_clip_id += 1;
         // Estimate geographic relevance from the transcript when the
@@ -1005,7 +990,7 @@ impl Engine {
         };
         self.repo.ingest(ClipMetadata {
             id,
-            title: title.into(),
+            title: title.to_string(),
             kind,
             category,
             category_confidence: confidence,
@@ -1016,7 +1001,6 @@ impl Engine {
         });
         self.clip_audio.insert(AudioClip { id, duration, bitrate: Bitrate::LIVE_STREAM });
         self.bus.publish(Topic::Ingest, BusMessage::Ingested { clip: id, confidence }, published);
-        (id, category)
     }
 
     /// Records a GPS fix from a listener's device.
@@ -1025,7 +1009,7 @@ impl Engine {
     /// it may be lost, delayed or reordered before it reaches the
     /// tracking store. Telemetry from unregistered devices is accepted
     /// (users may stream fixes before completing registration).
-    pub fn record_fix(&mut self, user: UserId, fix: GpsFix) {
+    fn record_fix(&mut self, user: UserId, fix: GpsFix) {
         self.bus.publish(Topic::Tracking, BusMessage::Fix { user, fix }, fix.time);
         self.pump_tracking();
     }
@@ -1077,7 +1061,7 @@ impl Engine {
     /// Records a feedback event (from a player or synthetic). Like
     /// fixes, feedback rides the bus and is only learned from once it
     /// arrives.
-    pub fn record_feedback(&mut self, event: FeedbackEvent) {
+    fn record_feedback(&mut self, event: FeedbackEvent) {
         self.bus.publish(Topic::Feedback, BusMessage::Feedback(event), event.time);
         self.pump_feedback();
     }
@@ -1114,12 +1098,12 @@ impl Engine {
     /// a bad target, [`EngineError::BusRejected`] when the bounded
     /// Editorial queue refuses the submission (the editor must see the
     /// failure, not lose the push silently).
-    pub fn inject(
+    fn inject(
         &mut self,
         user: UserId,
         clip: ClipId,
         now: TimePoint,
-        note: impl Into<String>,
+        note: &str,
     ) -> Result<(), EngineError> {
         if !self.players.contains_key(&user) {
             return Err(EngineError::UnknownUser(user));
@@ -1154,7 +1138,10 @@ impl Engine {
     }
 
     /// Applies player events: feedback into the store, heard-set
-    /// bookkeeping.
+    /// bookkeeping. Public because player events have no command of
+    /// their own: fixtures mark clips heard with synthetic
+    /// [`PlayerEvent::ClipStarted`] events here (the sated drivers of
+    /// the e13 and tick-batch suites). Calls are not logged.
     pub fn apply_player_events(&mut self, user: UserId, events: &[PlayerEvent]) {
         for ev in events {
             match ev {
@@ -1187,8 +1174,10 @@ impl Engine {
     /// Builds the listener context at `now` from tracking state, then
     /// commits the memoizations the build produced (resolved trip
     /// origin, freshly compacted mobility model) back into the stores.
-    /// The pure build itself lives in [`build_context`], which the
-    /// parallel warm phase calls directly off-thread.
+    /// Takes `&mut self` only for those memoizations, which a later
+    /// tick would compute identically, so it needs no command. The pure
+    /// build itself lives in `build_context`, which the parallel warm
+    /// phase calls directly off-thread.
     pub fn context_for(&mut self, user: UserId, now: TimePoint) -> ListenerContext {
         let proj = *self.tracking.projection();
         let fix = self.tracking.recent_fixes(user, 1).last().copied();
@@ -1213,19 +1202,6 @@ impl Engine {
             }
         }
         ctx
-    }
-
-    /// One engine step for a listener.
-    ///
-    /// **Deprecated-style wrapper**: prefer [`Engine::run_tick`] with
-    /// [`TickRequest::single`], which also returns the tick's
-    /// observability deltas. Kept for the existing call sites.
-    ///
-    /// # Errors
-    /// [`EngineError::UnknownUser`] if the listener was never
-    /// registered (same contract as the batch path).
-    pub fn tick(&mut self, user: UserId, now: TimePoint) -> Result<Vec<EngineEvent>, EngineError> {
-        Ok(self.run_tick(&TickRequest::single(&user, now))?.events)
     }
 
     /// The single-user step body: advance the player, learn from its
@@ -1340,8 +1316,10 @@ impl Engine {
         out
     }
 
-    /// The consolidated engine step: [`Engine::tick`], the shard
-    /// router and WAL replay all step the engine through this.
+    /// The consolidated engine step: [`EngineCommand::Tick`] (and so
+    /// the shard router and WAL replay) steps the engine through this.
+    /// Call it directly for the tick's counter deltas in
+    /// [`TickReport`].
     ///
     /// For batch requests the telemetry is drained once for the whole
     /// batch — exactly what the first sequential step would do, so
@@ -1922,7 +1900,7 @@ impl Engine {
     /// — if the queue is empty — a reactive recommendation so the
     /// listener "surfs a list of suggested audio clips" instead of
     /// changing channel.
-    pub fn skip(&mut self, user: UserId, now: TimePoint) -> Vec<EngineEvent> {
+    fn skip(&mut self, user: UserId, now: TimePoint) -> Vec<EngineEvent> {
         let mut out = Vec::new();
         // Refill the queue first if needed, so the skip lands on content.
         let needs_refill = self.players.get(&user).is_some_and(|p| p.queue_len() == 0);
@@ -2052,7 +2030,7 @@ mod tests {
             }
             for i in 0..6u64 {
                 e.ingest_clip(
-                    format!("clip {i}"),
+                    &format!("clip {i}"),
                     ClipKind::Podcast,
                     TimeSpan::minutes(4),
                     t,
@@ -2077,7 +2055,7 @@ mod tests {
     #[test]
     fn ingest_with_editorial_label() {
         let mut e = engine();
-        let (id, cat) = e.ingest_clip(
+        e.ingest_clip(
             "Decanter",
             ClipKind::Podcast,
             TimeSpan::minutes(15),
@@ -2086,8 +2064,8 @@ mod tests {
             &[],
             Some(CategoryId::new(8)),
         );
-        assert_eq!(cat, CategoryId::new(8));
-        assert!(e.repo.get(id).is_some());
+        let id = ClipId(0);
+        assert_eq!(e.repo.get(id).unwrap().category, CategoryId::new(8));
         assert!(e.clip_audio.contains(id));
         assert_eq!(e.bus.pending(Topic::Ingest), 1);
     }
@@ -2099,7 +2077,7 @@ mod tests {
             e.train_classifier(CategoryId::new(8), &tokens("vino prosecco cantina degustazione"));
             e.train_classifier(CategoryId::new(5), &tokens("goal partita calcio campionato"));
         }
-        let (_, cat) = e.ingest_clip(
+        e.ingest_clip(
             "wine talk",
             ClipKind::Podcast,
             TimeSpan::minutes(10),
@@ -2108,13 +2086,13 @@ mod tests {
             &tokens("degustazione di vino e prosecco"),
             None,
         );
-        assert_eq!(cat, CategoryId::new(8));
+        assert_eq!(e.repo.get(ClipId(0)).unwrap().category, CategoryId::new(8));
     }
 
     #[test]
     fn ingest_without_classifier_files_low_confidence() {
         let mut e = engine();
-        let (id, _) = e.ingest_clip(
+        e.ingest_clip(
             "mystery",
             ClipKind::Podcast,
             TimeSpan::minutes(5),
@@ -2123,7 +2101,7 @@ mod tests {
             &tokens("parole sconosciute"),
             None,
         );
-        let meta = e.repo.get(id).unwrap();
+        let meta = e.repo.get(ClipId(0)).unwrap();
         assert!(meta.category_confidence < 0.1);
     }
 
@@ -2141,7 +2119,7 @@ mod tests {
         let mut e = engine();
         let t = TimePoint::at(0, 9, 0, 0);
         e.register_user(profile(1), t);
-        let (clip, _) = e.ingest_clip(
+        e.ingest_clip(
             "pushed",
             ClipKind::Podcast,
             TimeSpan::minutes(5),
@@ -2150,14 +2128,21 @@ mod tests {
             &[],
             Some(CategoryId::new(2)),
         );
+        let clip = ClipId(0);
         e.inject(UserId(1), clip, t, "try this").unwrap();
-        let events = e.tick(UserId(1), t.advance(TimeSpan::seconds(30))).expect("registered");
+        let events = e
+            .run_tick(&TickRequest::single(&UserId(1), t.advance(TimeSpan::seconds(30))))
+            .expect("registered")
+            .events;
         assert!(events
             .iter()
             .any(|ev| matches!(ev, EngineEvent::InjectionDelivered { clip: c, .. } if *c == clip)));
         // Next player advance starts the injected clip.
-        let pe = e.advance_player(UserId(1), t.advance(TimeSpan::minutes(1))).unwrap();
-        assert!(pe.contains(&PlayerEvent::ClipStarted(clip)));
+        e.advance_player(UserId(1), t.advance(TimeSpan::minutes(1))).unwrap();
+        assert!(matches!(
+            e.player(UserId(1)).unwrap().mode(),
+            crate::player::PlaybackMode::Clip { clip: q, .. } if q.clip == clip
+        ));
     }
 
     #[test]
@@ -2167,7 +2152,7 @@ mod tests {
         e.register_user(profile(1), t);
         for i in 0..5u64 {
             e.ingest_clip(
-                format!("clip {i}"),
+                &format!("clip {i}"),
                 ClipKind::Podcast,
                 TimeSpan::minutes(5),
                 t,
@@ -2201,7 +2186,7 @@ mod tests {
         let mut e = engine();
         let t = TimePoint::at(0, 9, 0, 0);
         e.register_user(profile(1), t);
-        let (only, _) = e.ingest_clip(
+        e.ingest_clip(
             "only clip",
             ClipKind::Podcast,
             TimeSpan::minutes(5),
@@ -2211,7 +2196,7 @@ mod tests {
             Some(CategoryId::new(9)),
         );
         e.skip(UserId(1), t);
-        assert!(e.heard(UserId(1)).contains(&only));
+        assert!(e.heard(UserId(1)).contains(&ClipId(0)));
         // Second skip: nothing left to queue.
         let events = e.skip(UserId(1), t.advance(TimeSpan::minutes(1)));
         assert!(events.is_empty());
@@ -2238,7 +2223,7 @@ mod tests {
         let mut g = Gazetteer::new();
         g.add_place("stadio", GeoPoint::new(45.1096, 7.6413), 1_500.0);
         e.set_gazetteer(g);
-        let (tagged, _) = e.ingest_clip(
+        e.ingest_clip(
             "derby preview",
             ClipKind::NewsBulletin,
             TimeSpan::minutes(4),
@@ -2247,12 +2232,12 @@ mod tests {
             &tokens("derby allo stadio lo stadio apre presto"),
             Some(CategoryId::new(5)),
         );
-        let meta = e.repo.get(tagged).unwrap();
+        let meta = e.repo.get(ClipId(0)).unwrap();
         let tag = meta.geo.expect("gazetteer estimated a tag");
         assert!((tag.point.lat - 45.1096).abs() < 1e-9);
         // Editorial tags always win over estimation.
         let editorial = GeoTag { point: GeoPoint::new(45.0, 7.0), radius_m: 100.0 };
-        let (kept, _) = e.ingest_clip(
+        e.ingest_clip(
             "explicit",
             ClipKind::NewsBulletin,
             TimeSpan::minutes(2),
@@ -2261,7 +2246,7 @@ mod tests {
             &tokens("stadio stadio stadio"),
             Some(CategoryId::new(5)),
         );
-        assert_eq!(e.repo.get(kept).unwrap().geo, Some(editorial));
+        assert_eq!(e.repo.get(ClipId(1)).unwrap().geo, Some(editorial));
     }
 
     #[test]
@@ -2306,7 +2291,7 @@ mod tests {
         e.register_user(profile(1), t);
         for i in 0..5u64 {
             e.ingest_clip(
-                format!("clip {i}"),
+                &format!("clip {i}"),
                 ClipKind::Podcast,
                 TimeSpan::minutes(5),
                 t,
@@ -2377,7 +2362,7 @@ mod tests {
         e.register_user(profile(1), t);
         for i in 0..5u64 {
             e.ingest_clip(
-                format!("clip {i}"),
+                &format!("clip {i}"),
                 ClipKind::Podcast,
                 TimeSpan::minutes(5),
                 t,
@@ -2389,11 +2374,12 @@ mod tests {
         let ctx = e.context_for(UserId(1), t);
         // Tick once so tick_seq advances past the warm epoch of the
         // first fill, then fill the cache.
-        let _ = e.tick(UserId(1), t).expect("registered");
+        let _ = e.run_tick(&TickRequest::single(&UserId(1), t)).expect("registered");
         let _ = e.ranked_candidates(UserId(1), &ctx, t);
         assert_eq!(e.obs.counter("candidates.cache_misses"), 1);
         // Next tick: tick_seq moves, the entry does not.
-        let _ = e.tick(UserId(1), t.advance(TimeSpan::seconds(30))).expect("registered");
+        let next = t.advance(TimeSpan::seconds(30));
+        let _ = e.run_tick(&TickRequest::single(&UserId(1), next)).expect("registered");
         let hits_before = e.obs.counter("candidates.cross_tick_hit");
         let _ = e.ranked_candidates(UserId(1), &ctx, t.advance(TimeSpan::seconds(30)));
         assert_eq!(e.obs.counter("candidates.cache_misses"), 1, "no new miss");
@@ -2480,7 +2466,7 @@ mod tests {
         // Content to recommend.
         for i in 0..10u64 {
             e.ingest_clip(
-                format!("morning clip {i}"),
+                &format!("morning clip {i}"),
                 ClipKind::Podcast,
                 TimeSpan::minutes(4),
                 TimePoint::at(7, 5, 0, 0),
@@ -2496,7 +2482,8 @@ mod tests {
             let now = d8.advance(TimeSpan::seconds(i * 30));
             let frac = i as f64 / 39.0;
             e.record_fix(UserId(1), GpsFix::new(home.destination(80.0, frac * 9_000.0), now, 7.5));
-            let events = e.tick(UserId(1), now).expect("registered");
+            let events =
+                e.run_tick(&TickRequest::single(&UserId(1), now)).expect("registered").events;
             if events.iter().any(|ev| matches!(ev, EngineEvent::Recommended { .. })) {
                 recommended = true;
                 break;

@@ -50,7 +50,7 @@ pub use injection::{InjectionQueue, PendingInjection};
 pub use netcost::{DeliveryPlanKind, FetchOutcome, NetworkCostModel, TrafficReport, UnicastLink};
 pub use persist::{
     restore_engine, ApplyResult, DurableEngine, FileWal, MemWal, PersistError, RecoveryReport,
-    WalOp, WalRecord, WalStorage,
+    WalRecord, WalStorage,
 };
 pub use player::{PlaybackMode, Player, PlayerEvent};
 pub use replacement::{ReplacementPlanner, ReplacementTimeline, TimelineEntry};

@@ -3,8 +3,9 @@
 
 use super::replay::{apply_record, ApplyResult};
 use super::snapshot::{decode_engine, snapshot_engine};
-use super::wal::{encode_record, scan, WalOp, WalRecord};
+use super::wal::{encode_record, scan, WalRecord};
 use super::PersistError;
+use crate::command::EngineCommand;
 use crate::engine::Engine;
 use std::fs::File;
 use std::io::Write;
@@ -133,7 +134,7 @@ impl<S: WalStorage> DurableEngine<S> {
     }
 
     /// Logs `op` (write-ahead: append + sync first), then applies it.
-    pub fn apply(&mut self, op: WalOp) -> Result<ApplyResult, PersistError> {
+    pub fn apply(&mut self, op: EngineCommand) -> Result<ApplyResult, PersistError> {
         let record = WalRecord { seq: self.next_seq, op };
         let frame = encode_record(&record);
         self.wal.append(&frame)?;
@@ -155,8 +156,11 @@ impl<S: WalStorage> DurableEngine<S> {
 
     /// Mutable access to the wrapped engine.
     ///
-    /// Mutations through this reference bypass the WAL; use it only for
-    /// non-replayed concerns (installing transports, dashboards).
+    /// Nothing done through this reference is logged: an
+    /// [`Engine::apply`] or [`Engine::run_tick`] call here would be lost
+    /// on recovery, so commands go through [`DurableEngine::apply`].
+    /// Use it only for non-replayed concerns: installing transports,
+    /// dashboards, and the memoizing [`Engine::context_for`].
     pub fn engine_mut(&mut self) -> &mut Engine {
         &mut self.engine
     }

@@ -4,8 +4,9 @@
 //! input events (§4 of the paper describes the platform as a pipeline
 //! of deterministic stages). This module makes that fold *durable*:
 //!
-//! * [`WalOp`] — the closed set of input events (user registration,
-//!   catalog ingest, GPS fixes, feedback, editorial injections, ticks),
+//! * [`EngineCommand`](crate::EngineCommand) — the closed set of input
+//!   events (user registration, catalog ingest, GPS fixes, feedback,
+//!   editorial injections, ticks), logged as-is,
 //! * [`WalRecord`] / [`wal`] — a length-prefixed, CRC-framed append-only
 //!   log of those events with monotonically increasing sequence numbers,
 //! * [`snapshot_engine`] / [`snapshot`] — a versioned binary snapshot of
@@ -32,7 +33,7 @@ pub use codec::{crc32, ByteReader, ByteWriter};
 pub use durable::{restore_engine, DurableEngine, FileWal, MemWal, RecoveryReport, WalStorage};
 pub use replay::{apply_record, ApplyResult};
 pub use snapshot::{decode_engine, snapshot_engine, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
-pub use wal::{decode_payload, encode_payload, encode_record, WalOp, WalRecord, WalScan};
+pub use wal::{decode_payload, encode_payload, encode_record, WalRecord, WalScan};
 
 use std::fmt;
 

@@ -1,13 +1,12 @@
 //! The single apply path shared by live execution and crash recovery.
 //!
-//! [`apply_record`] is the *only* place a [`WalOp`] turns into engine
-//! mutations — and since `WalOp` *is*
-//! [`EngineCommand`](crate::command::EngineCommand), it is nothing but
-//! [`Engine::apply`] with the outcome recorded. The live
-//! [`DurableEngine`](super::DurableEngine) logs a record and then calls
-//! it; [`restore_engine`](super::restore_engine) replays the WAL suffix
-//! through the very same function; the shard agent serves forwarded
-//! commands through it too. Replay-equals-original therefore holds by
+//! [`apply_record`] is the *only* place a logged
+//! [`EngineCommand`](crate::command::EngineCommand) turns into engine
+//! mutations, and it is nothing but [`Engine::apply`] with the outcome
+//! recorded. The live [`DurableEngine`](super::DurableEngine) logs a
+//! record and then calls it; [`restore_engine`](super::restore_engine)
+//! replays the WAL suffix through the very same function; the shard
+//! agent serves forwarded commands through it too. Replay-equals-original therefore holds by
 //! construction, not by parallel-maintained code paths.
 
 use super::wal::WalRecord;

@@ -21,20 +21,16 @@ use pphcr_geo::{GeoPoint, TimePoint, TimeSpan};
 use pphcr_trajectory::GpsFix;
 use pphcr_userdata::{AgeBand, FeedbackEvent, FeedbackKind, UserId, UserProfile};
 
-/// One logged engine input — an alias for the unified
-/// [`EngineCommand`]. The WAL, the live `DurableEngine` write-ahead
-/// path and the `pphcr-shard` wire protocol all carry this one shape
-/// through this module's single codec, so a replayed (or forwarded)
-/// log reproduces the engine bit-for-bit.
-pub type WalOp = EngineCommand;
-
-/// A sequenced WAL entry.
+/// A sequenced WAL entry. The WAL, the live `DurableEngine` write-ahead
+/// path and the `pphcr-shard` wire protocol all carry an
+/// [`EngineCommand`] through this module's single codec, so a replayed
+/// (or forwarded) log reproduces the engine bit-for-bit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WalRecord {
     /// Monotonically increasing sequence number, starting at 1.
     pub seq: u64,
-    /// The logged operation.
-    pub op: WalOp,
+    /// The logged command.
+    pub op: EngineCommand,
 }
 
 const KIND_REGISTER_USER: u8 = 0;
@@ -190,23 +186,23 @@ pub fn encode_payload(record: &WalRecord) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_u64(record.seq);
     match &record.op {
-        WalOp::RegisterUser { profile, now } => {
+        EngineCommand::RegisterUser { profile, now } => {
             w.put_u8(KIND_REGISTER_USER);
             put_profile(&mut w, profile);
             w.put_u64(now.0);
         }
-        WalOp::ChangeService { user, service, now } => {
+        EngineCommand::ChangeService { user, service, now } => {
             w.put_u8(KIND_CHANGE_SERVICE);
             w.put_u64(user.0);
             w.put_u32(service.0);
             w.put_u64(now.0);
         }
-        WalOp::TrainClassifier { category, tokens } => {
+        EngineCommand::TrainClassifier { category, tokens } => {
             w.put_u8(KIND_TRAIN_CLASSIFIER);
             w.put_u16(category.0);
             put_tokens(&mut w, tokens);
         }
-        WalOp::IngestClip { title, kind, duration, published, geo, tokens, editorial } => {
+        EngineCommand::IngestClip { title, kind, duration, published, geo, tokens, editorial } => {
             w.put_u8(KIND_INGEST_CLIP);
             w.put_str(title);
             put_clip_kind(&mut w, *kind);
@@ -216,28 +212,28 @@ pub fn encode_payload(record: &WalRecord) -> Vec<u8> {
             put_tokens(&mut w, tokens);
             w.put_opt(editorial.as_ref(), |w, c| w.put_u16(c.0));
         }
-        WalOp::RecordFix { user, fix } => {
+        EngineCommand::RecordFix { user, fix } => {
             w.put_u8(KIND_RECORD_FIX);
             w.put_u64(user.0);
             put_fix(&mut w, fix);
         }
-        WalOp::RecordFeedback { event } => {
+        EngineCommand::RecordFeedback { event } => {
             w.put_u8(KIND_RECORD_FEEDBACK);
             put_feedback_event(&mut w, event);
         }
-        WalOp::Inject { user, clip, at, note } => {
+        EngineCommand::Inject { user, clip, at, note } => {
             w.put_u8(KIND_INJECT);
             w.put_u64(user.0);
             w.put_u64(clip.0);
             w.put_u64(at.0);
             w.put_str(note);
         }
-        WalOp::Skip { user, now } => {
+        EngineCommand::Skip { user, now } => {
             w.put_u8(KIND_SKIP);
             w.put_u64(user.0);
             w.put_u64(now.0);
         }
-        WalOp::Tick { users, now, batch, workers } => {
+        EngineCommand::Tick { users, now, batch, workers } => {
             w.put_u8(KIND_TICK);
             w.put_u32(users.len() as u32);
             for u in users {
@@ -247,20 +243,20 @@ pub fn encode_payload(record: &WalRecord) -> Vec<u8> {
             w.put_bool(*batch);
             w.put_opt(workers.as_ref(), |w, v| w.put_u64(*v));
         }
-        WalOp::AdvancePlayer { user, now } => {
+        EngineCommand::AdvancePlayer { user, now } => {
             w.put_u8(KIND_ADVANCE_PLAYER);
             w.put_u64(user.0);
             w.put_u64(now.0);
         }
-        WalOp::SetCoverage { coverage } => {
+        EngineCommand::SetCoverage { coverage } => {
             w.put_u8(KIND_SET_COVERAGE);
             put_coverage(&mut w, coverage);
         }
-        WalOp::SetRoadNetwork { network } => {
+        EngineCommand::SetRoadNetwork { network } => {
             w.put_u8(KIND_SET_ROAD_NETWORK);
             put_road_network(&mut w, network);
         }
-        WalOp::SetGazetteer { gazetteer } => {
+        EngineCommand::SetGazetteer { gazetteer } => {
             w.put_u8(KIND_SET_GAZETTEER);
             put_gazetteer(&mut w, gazetteer);
         }
@@ -279,18 +275,18 @@ pub fn decode_payload(payload: &[u8]) -> Result<WalRecord, PersistError> {
     let op = match r.u8()? {
         KIND_REGISTER_USER => {
             let profile = get_profile(&mut r)?;
-            WalOp::RegisterUser { profile, now: TimePoint(r.u64()?) }
+            EngineCommand::RegisterUser { profile, now: TimePoint(r.u64()?) }
         }
-        KIND_CHANGE_SERVICE => WalOp::ChangeService {
+        KIND_CHANGE_SERVICE => EngineCommand::ChangeService {
             user: UserId(r.u64()?),
             service: ServiceIndex(r.u32()?),
             now: TimePoint(r.u64()?),
         },
         KIND_TRAIN_CLASSIFIER => {
             let category = CategoryId(r.u16()?);
-            WalOp::TrainClassifier { category, tokens: get_tokens(&mut r)? }
+            EngineCommand::TrainClassifier { category, tokens: get_tokens(&mut r)? }
         }
-        KIND_INGEST_CLIP => WalOp::IngestClip {
+        KIND_INGEST_CLIP => EngineCommand::IngestClip {
             title: r.string()?,
             kind: get_clip_kind(&mut r)?,
             duration: TimeSpan(r.u64()?),
@@ -299,22 +295,26 @@ pub fn decode_payload(payload: &[u8]) -> Result<WalRecord, PersistError> {
             tokens: get_tokens(&mut r)?,
             editorial: r.opt(|r| Ok(CategoryId(r.u16()?)))?,
         },
-        KIND_RECORD_FIX => WalOp::RecordFix { user: UserId(r.u64()?), fix: get_fix(&mut r)? },
-        KIND_RECORD_FEEDBACK => WalOp::RecordFeedback { event: get_feedback_event(&mut r)? },
-        KIND_INJECT => WalOp::Inject {
+        KIND_RECORD_FIX => {
+            EngineCommand::RecordFix { user: UserId(r.u64()?), fix: get_fix(&mut r)? }
+        }
+        KIND_RECORD_FEEDBACK => {
+            EngineCommand::RecordFeedback { event: get_feedback_event(&mut r)? }
+        }
+        KIND_INJECT => EngineCommand::Inject {
             user: UserId(r.u64()?),
             clip: ClipId(r.u64()?),
             at: TimePoint(r.u64()?),
             note: r.string()?,
         },
-        KIND_SKIP => WalOp::Skip { user: UserId(r.u64()?), now: TimePoint(r.u64()?) },
+        KIND_SKIP => EngineCommand::Skip { user: UserId(r.u64()?), now: TimePoint(r.u64()?) },
         KIND_TICK => {
             let n = r.seq_len()?;
             let mut users = Vec::with_capacity(n);
             for _ in 0..n {
                 users.push(UserId(r.u64()?));
             }
-            WalOp::Tick {
+            EngineCommand::Tick {
                 users,
                 now: TimePoint(r.u64()?),
                 batch: r.bool()?,
@@ -322,11 +322,13 @@ pub fn decode_payload(payload: &[u8]) -> Result<WalRecord, PersistError> {
             }
         }
         KIND_ADVANCE_PLAYER => {
-            WalOp::AdvancePlayer { user: UserId(r.u64()?), now: TimePoint(r.u64()?) }
+            EngineCommand::AdvancePlayer { user: UserId(r.u64()?), now: TimePoint(r.u64()?) }
         }
-        KIND_SET_COVERAGE => WalOp::SetCoverage { coverage: get_coverage(&mut r)? },
-        KIND_SET_ROAD_NETWORK => WalOp::SetRoadNetwork { network: get_road_network(&mut r)? },
-        KIND_SET_GAZETTEER => WalOp::SetGazetteer { gazetteer: get_gazetteer(&mut r)? },
+        KIND_SET_COVERAGE => EngineCommand::SetCoverage { coverage: get_coverage(&mut r)? },
+        KIND_SET_ROAD_NETWORK => {
+            EngineCommand::SetRoadNetwork { network: get_road_network(&mut r)? }
+        }
+        KIND_SET_GAZETTEER => EngineCommand::SetGazetteer { gazetteer: get_gazetteer(&mut r)? },
         _ => return Err(PersistError::Corrupt { what: "WAL op kind tag" }),
     };
     if !r.is_empty() {
@@ -400,7 +402,7 @@ mod tests {
         vec![
             WalRecord {
                 seq: 1,
-                op: WalOp::RegisterUser {
+                op: EngineCommand::RegisterUser {
                     profile: UserProfile {
                         id: UserId(7),
                         name: "Anna".into(),
@@ -412,7 +414,7 @@ mod tests {
             },
             WalRecord {
                 seq: 2,
-                op: WalOp::IngestClip {
+                op: EngineCommand::IngestClip {
                     title: "morning news".into(),
                     kind: ClipKind::NewsBulletin,
                     duration: TimeSpan(90),
@@ -427,7 +429,7 @@ mod tests {
             },
             WalRecord {
                 seq: 3,
-                op: WalOp::Tick {
+                op: EngineCommand::Tick {
                     users: vec![UserId(7), UserId(8)],
                     now: TimePoint(200),
                     batch: true,
@@ -462,10 +464,13 @@ mod tests {
             }],
         };
         let records = vec![
-            WalRecord { seq: 1, op: WalOp::AdvancePlayer { user: UserId(7), now: TimePoint(300) } },
-            WalRecord { seq: 2, op: WalOp::SetCoverage { coverage } },
-            WalRecord { seq: 3, op: WalOp::SetRoadNetwork { network } },
-            WalRecord { seq: 4, op: WalOp::SetGazetteer { gazetteer } },
+            WalRecord {
+                seq: 1,
+                op: EngineCommand::AdvancePlayer { user: UserId(7), now: TimePoint(300) },
+            },
+            WalRecord { seq: 2, op: EngineCommand::SetCoverage { coverage } },
+            WalRecord { seq: 3, op: EngineCommand::SetRoadNetwork { network } },
+            WalRecord { seq: 4, op: EngineCommand::SetGazetteer { gazetteer } },
         ];
         let mut log = Vec::new();
         for r in &records {
@@ -526,11 +531,11 @@ mod tests {
         let mut log = Vec::new();
         log.extend_from_slice(&encode_record(&WalRecord {
             seq: 1,
-            op: WalOp::Skip { user: UserId(1), now: TimePoint(0) },
+            op: EngineCommand::Skip { user: UserId(1), now: TimePoint(0) },
         }));
         log.extend_from_slice(&encode_record(&WalRecord {
             seq: 5,
-            op: WalOp::Skip { user: UserId(1), now: TimePoint(1) },
+            op: EngineCommand::Skip { user: UserId(1), now: TimePoint(1) },
         }));
         assert_eq!(scan(&log), Err(PersistError::SequenceGap { expected: 2, found: 5 }));
     }

@@ -10,7 +10,7 @@
 //!   drift is a reviewed change rather than an accident.
 
 use pphcr_catalog::{CategoryId, ClipKind};
-use pphcr_core::{Engine, EngineConfig, EngineEvent, TickRequest};
+use pphcr_core::{Engine, EngineCommand, EngineConfig, EngineEvent, TickRequest};
 use pphcr_geo::{GeoPoint, TimePoint, TimeSpan};
 use pphcr_trajectory::GpsFix;
 use pphcr_userdata::{AgeBand, UserId, UserProfile};
@@ -33,7 +33,7 @@ fn commuter_engine(n_users: u64, config: EngineConfig) -> Engine {
     let mut e = Engine::new(config);
     let t0 = TimePoint::at(0, 0, 0, 0);
     for u in 1..=n_users {
-        e.register_user(profile(u), t0);
+        e.apply(&EngineCommand::RegisterUser { profile: profile(u), now: t0 }).unwrap();
     }
     for u in 1..=n_users {
         let home = TORINO.destination(30.0 * u as f64, 1_500.0 * u as f64);
@@ -41,58 +41,64 @@ fn commuter_engine(n_users: u64, config: EngineConfig) -> Engine {
         for day in 0..7u64 {
             let d0 = TimePoint::at(day, 0, 0, 0);
             for i in 0..90u64 {
-                e.record_fix(
-                    UserId(u),
-                    GpsFix::new(home, d0.advance(TimeSpan::minutes(i * 5)), 0.1),
-                );
+                e.apply(&EngineCommand::RecordFix {
+                    user: UserId(u),
+                    fix: GpsFix::new(home, d0.advance(TimeSpan::minutes(i * 5)), 0.1),
+                })
+                .unwrap();
             }
             for i in 0..40u64 {
                 let frac = i as f64 / 39.0;
-                e.record_fix(
-                    UserId(u),
-                    GpsFix::new(
+                e.apply(&EngineCommand::RecordFix {
+                    user: UserId(u),
+                    fix: GpsFix::new(
                         home.destination(bearing, frac * 9_000.0),
                         d0.advance(TimeSpan::hours(8)).advance(TimeSpan::seconds(i * 30)),
                         7.5,
                     ),
-                );
+                })
+                .unwrap();
             }
             let work = home.destination(bearing, 9_000.0);
             for i in 0..57u64 {
-                e.record_fix(
-                    UserId(u),
-                    GpsFix::new(work, d0.advance(TimeSpan::minutes(510 + i * 10)), 0.2),
-                );
+                e.apply(&EngineCommand::RecordFix {
+                    user: UserId(u),
+                    fix: GpsFix::new(work, d0.advance(TimeSpan::minutes(510 + i * 10)), 0.2),
+                })
+                .unwrap();
             }
             for i in 0..40u64 {
                 let frac = i as f64 / 39.0;
-                e.record_fix(
-                    UserId(u),
-                    GpsFix::new(
+                e.apply(&EngineCommand::RecordFix {
+                    user: UserId(u),
+                    fix: GpsFix::new(
                         work.destination(bearing + 180.0, frac * 9_000.0),
                         d0.advance(TimeSpan::hours(18)).advance(TimeSpan::seconds(i * 30)),
                         7.5,
                     ),
-                );
+                })
+                .unwrap();
             }
             for i in 0..66u64 {
-                e.record_fix(
-                    UserId(u),
-                    GpsFix::new(home, d0.advance(TimeSpan::minutes(1105 + i * 5)), 0.1),
-                );
+                e.apply(&EngineCommand::RecordFix {
+                    user: UserId(u),
+                    fix: GpsFix::new(home, d0.advance(TimeSpan::minutes(1105 + i * 5)), 0.1),
+                })
+                .unwrap();
             }
         }
     }
     for i in 0..20u64 {
-        e.ingest_clip(
-            format!("morning clip {i}"),
-            ClipKind::Podcast,
-            TimeSpan::minutes(4),
-            TimePoint::at(7, 5, 0, 0),
-            None,
-            &[],
-            Some(CategoryId::new((i % 7) as u16)),
-        );
+        e.apply(&EngineCommand::IngestClip {
+            title: format!("morning clip {i}"),
+            kind: ClipKind::Podcast,
+            duration: TimeSpan::minutes(4),
+            published: TimePoint::at(7, 5, 0, 0),
+            geo: None,
+            tokens: vec![],
+            editorial: Some(CategoryId::new((i % 7) as u16)),
+        })
+        .unwrap();
     }
     e
 }
@@ -109,7 +115,11 @@ fn run_day8(e: &mut Engine, n_users: u64, workers: usize) -> Vec<EngineEvent> {
             let home = TORINO.destination(30.0 * u.0 as f64, 1_500.0 * u.0 as f64);
             let bearing = 80.0 + 15.0 * u.0 as f64;
             let frac = i as f64 / 39.0;
-            e.record_fix(u, GpsFix::new(home.destination(bearing, frac * 9_000.0), now, 7.5));
+            e.apply(&EngineCommand::RecordFix {
+                user: u,
+                fix: GpsFix::new(home.destination(bearing, frac * 9_000.0), now, 7.5),
+            })
+            .unwrap();
         }
         let report =
             e.run_tick(&TickRequest::batch(&users, now).with_workers(workers)).expect("registered");

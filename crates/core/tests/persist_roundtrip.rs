@@ -15,12 +15,13 @@
 //!   a snapshot/restore byte-identically, and the ring keeps tracing
 //!   after the restore.
 
+use pphcr_audio::ClipId;
 use pphcr_catalog::{CategoryId, ClipKind, GeoTag, ServiceIndex};
 use pphcr_core::persist::wal::encode_record;
 use pphcr_core::persist::{decode_engine, snapshot_engine, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use pphcr_core::{
     restore_engine, DurableEngine, Engine, EngineCommand, EngineConfig, MemWal, PersistError,
-    WalOp, WalRecord,
+    TickRequest, WalRecord,
 };
 use pphcr_geo::{GeoPoint, TimePoint, TimeSpan};
 use pphcr_trajectory::GpsFix;
@@ -49,50 +50,70 @@ fn mini_engine_with(config: EngineConfig) -> Engine {
     let mut e = Engine::new(config);
     let t0 = TimePoint::at(0, 9, 0, 0);
     for u in 1..=2u64 {
-        e.register_user(profile(u), t0);
+        e.apply(&EngineCommand::RegisterUser { profile: profile(u), now: t0 }).unwrap();
     }
-    e.train_classifier(CategoryId::new(1), &["traffic".into(), "road".into(), "queue".into()]);
-    e.train_classifier(CategoryId::new(2), &["derby".into(), "goal".into(), "league".into()]);
-    let (clip, _) = e.ingest_clip(
-        "ring road jam",
-        ClipKind::NewsBulletin,
-        TimeSpan::minutes(2),
-        t0,
-        Some(GeoTag { point: TORINO, radius_m: 900.0 }),
-        &["traffic".into(), "queue".into()],
-        None,
-    );
-    e.ingest_clip(
-        "derby recap",
-        ClipKind::Podcast,
-        TimeSpan::minutes(4),
-        t0,
-        None,
-        &["derby".into(), "goal".into()],
-        Some(CategoryId::new(2)),
-    );
+    e.apply(&EngineCommand::TrainClassifier {
+        category: CategoryId::new(1),
+        tokens: vec!["traffic".into(), "road".into(), "queue".into()],
+    })
+    .unwrap();
+    e.apply(&EngineCommand::TrainClassifier {
+        category: CategoryId::new(2),
+        tokens: vec!["derby".into(), "goal".into(), "league".into()],
+    })
+    .unwrap();
+    e.apply(&EngineCommand::IngestClip {
+        title: "ring road jam".into(),
+        kind: ClipKind::NewsBulletin,
+        duration: TimeSpan::minutes(2),
+        published: t0,
+        geo: Some(GeoTag { point: TORINO, radius_m: 900.0 }),
+        tokens: vec!["traffic".into(), "queue".into()],
+        editorial: None,
+    })
+    .unwrap();
+    let clip = ClipId(0);
+    e.apply(&EngineCommand::IngestClip {
+        title: "derby recap".into(),
+        kind: ClipKind::Podcast,
+        duration: TimeSpan::minutes(4),
+        published: t0,
+        geo: None,
+        tokens: vec!["derby".into(), "goal".into()],
+        editorial: Some(CategoryId::new(2)),
+    })
+    .unwrap();
     for i in 0..8u64 {
-        e.record_fix(
-            UserId(1),
-            GpsFix::new(
+        e.apply(&EngineCommand::RecordFix {
+            user: UserId(1),
+            fix: GpsFix::new(
                 TORINO.destination(75.0, 120.0 * i as f64),
                 t0.advance(TimeSpan::seconds(i * 30)),
                 14.0,
             ),
-        );
+        })
+        .unwrap();
     }
-    e.record_feedback(FeedbackEvent {
-        user: UserId(2),
-        clip: Some(clip),
-        category: CategoryId::new(2),
-        kind: FeedbackKind::Like,
-        time: t0.advance(TimeSpan::seconds(90)),
+    e.apply(&EngineCommand::RecordFeedback {
+        event: FeedbackEvent {
+            user: UserId(2),
+            clip: Some(clip),
+            category: CategoryId::new(2),
+            kind: FeedbackKind::Like,
+            time: t0.advance(TimeSpan::seconds(90)),
+        },
+    })
+    .unwrap();
+    let _ = e.apply(&EngineCommand::Inject {
+        user: UserId(1),
+        clip,
+        at: t0.advance(TimeSpan::seconds(100)),
+        note: "pinned scenario".into(),
     });
-    let _ = e.inject(UserId(1), clip, t0.advance(TimeSpan::seconds(100)), "pinned scenario");
     for step in 0..6u64 {
         let now = t0.advance(TimeSpan::seconds(120 + step * 30));
         for u in 1..=2u64 {
-            let _ = e.tick(UserId(u), now);
+            let _ = e.run_tick(&TickRequest::single(&UserId(u), now));
         }
     }
     e
@@ -234,17 +255,17 @@ fn every_snapshot_truncation_is_a_typed_error() {
 fn sample_records() -> Vec<WalRecord> {
     let t0 = TimePoint::at(0, 9, 0, 0);
     vec![
-        WalRecord { seq: 1, op: WalOp::RegisterUser { profile: profile(1), now: t0 } },
+        WalRecord { seq: 1, op: EngineCommand::RegisterUser { profile: profile(1), now: t0 } },
         WalRecord {
             seq: 2,
-            op: WalOp::TrainClassifier {
+            op: EngineCommand::TrainClassifier {
                 category: CategoryId::new(1),
                 tokens: vec!["traffic".into(), "road".into()],
             },
         },
         WalRecord {
             seq: 3,
-            op: WalOp::Tick {
+            op: EngineCommand::Tick {
                 users: vec![UserId(1)],
                 now: t0.advance(TimeSpan::seconds(30)),
                 batch: true,
@@ -342,8 +363,8 @@ fn obs_state_survives_restore_and_ring_rearms() {
     for step in 0..10u64 {
         let now = t1.advance(TimeSpan::seconds(step * 30));
         for u in 1..=2u64 {
-            let a = original.tick(UserId(u), now).expect("registered");
-            let b = restored.tick(UserId(u), now).expect("registered");
+            let a = original.run_tick(&TickRequest::single(&UserId(u), now)).unwrap().events;
+            let b = restored.run_tick(&TickRequest::single(&UserId(u), now)).unwrap().events;
             assert_eq!(a, b, "post-restore events diverged at step {step}");
         }
     }
@@ -377,14 +398,14 @@ fn dashboard_surfaces_recovery_banner() {
 /// codec exactly, whatever the strings, floats and counts. The vendored
 /// mini-proptest has no `prop_oneof!`, so a selector field picks the
 /// variant inside one `prop_map`.
-fn arb_op() -> impl Strategy<Value = WalOp> {
+fn arb_op() -> impl Strategy<Value = EngineCommand> {
     (
         (0u8..4, 0u64..u64::MAX, ".{0,24}"),
         (-90.0f64..90.0, -180.0f64..180.0, 0.0f64..1.0),
         (0u8..2, 0u64..10_000_000, proptest::collection::vec(0u64..50, 0..6)),
     )
         .prop_map(|((kind, id, name), (lat, lon, frac), (flag, t, users))| match kind {
-            0 => WalOp::RegisterUser {
+            0 => EngineCommand::RegisterUser {
                 profile: UserProfile {
                     id: UserId(id),
                     name,
@@ -398,14 +419,14 @@ fn arb_op() -> impl Strategy<Value = WalOp> {
                 },
                 now: TimePoint(t),
             },
-            1 => WalOp::RecordFix {
+            1 => EngineCommand::RecordFix {
                 user: UserId(id),
                 fix: GpsFix::new(GeoPoint::new(lat, lon), TimePoint(t), frac * 60.0),
             },
-            2 => WalOp::RecordFeedback {
+            2 => EngineCommand::RecordFeedback {
                 event: FeedbackEvent {
                     user: UserId(id),
-                    clip: if flag == 1 { Some(pphcr_audio::ClipId(id)) } else { None },
+                    clip: if flag == 1 { Some(ClipId(id)) } else { None },
                     category: CategoryId::new((id % 30) as u16),
                     kind: if frac > 0.25 {
                         FeedbackKind::PartialListen(frac)
@@ -415,7 +436,7 @@ fn arb_op() -> impl Strategy<Value = WalOp> {
                     time: TimePoint(t),
                 },
             },
-            _ => WalOp::Tick {
+            _ => EngineCommand::Tick {
                 users: users.into_iter().map(UserId).collect(),
                 now: TimePoint(t),
                 batch: flag == 1,
@@ -500,7 +521,7 @@ fn sequence_gap_is_typed_on_restore() {
     let mut wal = Vec::new();
     wal.extend_from_slice(&encode_record(&WalRecord {
         seq: 50,
-        op: WalOp::Skip { user: UserId(1), now: t0 },
+        op: EngineCommand::Skip { user: UserId(1), now: t0 },
     }));
     match restore_engine(&bytes, &wal) {
         Ok(_) => panic!("gapped WAL restored successfully"),
@@ -515,7 +536,7 @@ fn durable_engine_applies_ops_in_sequence() {
     let mut durable = DurableEngine::new(Engine::new(EngineConfig::default()), MemWal::new());
     let t0 = TimePoint::at(0, 9, 0, 0);
     let first = durable
-        .apply(WalOp::RegisterUser { profile: profile(1), now: t0 })
+        .apply(EngineCommand::RegisterUser { profile: profile(1), now: t0 })
         .expect("MemWal append cannot fail");
     assert_eq!(first.seq, 1);
     assert_eq!(durable.next_seq(), 2);

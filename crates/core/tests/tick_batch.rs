@@ -5,7 +5,9 @@
 
 use pphcr_audio::clip::ClipId;
 use pphcr_catalog::{CategoryId, ClipKind};
-use pphcr_core::{CacheQuanta, Engine, EngineConfig, EngineEvent, PlayerEvent, TickRequest};
+use pphcr_core::{
+    CacheQuanta, Engine, EngineCommand, EngineConfig, EngineEvent, PlayerEvent, TickRequest,
+};
 use pphcr_geo::{GeoPoint, TimePoint, TimeSpan};
 use pphcr_trajectory::GpsFix;
 use pphcr_userdata::{AgeBand, FeedbackEvent, FeedbackKind, UserId, UserProfile};
@@ -34,7 +36,7 @@ fn commuter_engine_with(n_users: u64, config: EngineConfig) -> (Engine, Vec<Clip
     let mut e = Engine::new(config);
     let t0 = TimePoint::at(0, 0, 0, 0);
     for u in 1..=n_users {
-        e.register_user(profile(u), t0);
+        e.apply(&EngineCommand::RegisterUser { profile: profile(u), now: t0 }).unwrap();
     }
     for u in 1..=n_users {
         let home = TORINO.destination(30.0 * u as f64, 1_500.0 * u as f64);
@@ -42,60 +44,66 @@ fn commuter_engine_with(n_users: u64, config: EngineConfig) -> (Engine, Vec<Clip
         for day in 0..7u64 {
             let d0 = TimePoint::at(day, 0, 0, 0);
             for i in 0..90u64 {
-                e.record_fix(
-                    UserId(u),
-                    GpsFix::new(home, d0.advance(TimeSpan::minutes(i * 5)), 0.1),
-                );
+                e.apply(&EngineCommand::RecordFix {
+                    user: UserId(u),
+                    fix: GpsFix::new(home, d0.advance(TimeSpan::minutes(i * 5)), 0.1),
+                })
+                .unwrap();
             }
             for i in 0..40u64 {
                 let frac = i as f64 / 39.0;
-                e.record_fix(
-                    UserId(u),
-                    GpsFix::new(
+                e.apply(&EngineCommand::RecordFix {
+                    user: UserId(u),
+                    fix: GpsFix::new(
                         home.destination(bearing, frac * 9_000.0),
                         d0.advance(TimeSpan::hours(8)).advance(TimeSpan::seconds(i * 30)),
                         7.5,
                     ),
-                );
+                })
+                .unwrap();
             }
             let work = home.destination(bearing, 9_000.0);
             for i in 0..57u64 {
-                e.record_fix(
-                    UserId(u),
-                    GpsFix::new(work, d0.advance(TimeSpan::minutes(510 + i * 10)), 0.2),
-                );
+                e.apply(&EngineCommand::RecordFix {
+                    user: UserId(u),
+                    fix: GpsFix::new(work, d0.advance(TimeSpan::minutes(510 + i * 10)), 0.2),
+                })
+                .unwrap();
             }
             for i in 0..40u64 {
                 let frac = i as f64 / 39.0;
-                e.record_fix(
-                    UserId(u),
-                    GpsFix::new(
+                e.apply(&EngineCommand::RecordFix {
+                    user: UserId(u),
+                    fix: GpsFix::new(
                         work.destination(bearing + 180.0, frac * 9_000.0),
                         d0.advance(TimeSpan::hours(18)).advance(TimeSpan::seconds(i * 30)),
                         7.5,
                     ),
-                );
+                })
+                .unwrap();
             }
             for i in 0..66u64 {
-                e.record_fix(
-                    UserId(u),
-                    GpsFix::new(home, d0.advance(TimeSpan::minutes(1105 + i * 5)), 0.1),
-                );
+                e.apply(&EngineCommand::RecordFix {
+                    user: UserId(u),
+                    fix: GpsFix::new(home, d0.advance(TimeSpan::minutes(1105 + i * 5)), 0.1),
+                })
+                .unwrap();
             }
         }
     }
     let mut clips = Vec::new();
     for i in 0..20u64 {
-        let (id, _) = e.ingest_clip(
-            format!("morning clip {i}"),
-            ClipKind::Podcast,
-            TimeSpan::minutes(4),
-            TimePoint::at(7, 5, 0, 0),
-            None,
-            &[],
-            Some(CategoryId::new((i % 7) as u16)),
-        );
-        clips.push(id);
+        e.apply(&EngineCommand::IngestClip {
+            title: format!("morning clip {i}"),
+            kind: ClipKind::Podcast,
+            duration: TimeSpan::minutes(4),
+            published: TimePoint::at(7, 5, 0, 0),
+            geo: None,
+            tokens: vec![],
+            editorial: Some(CategoryId::new((i % 7) as u16)),
+        })
+        .unwrap();
+        clips.push(ClipId(i));
     }
     (e, clips)
 }
@@ -114,7 +122,11 @@ where
             let home = TORINO.destination(30.0 * u.0 as f64, 1_500.0 * u.0 as f64);
             let bearing = 80.0 + 15.0 * u.0 as f64;
             let frac = i as f64 / 39.0;
-            e.record_fix(u, GpsFix::new(home.destination(bearing, frac * 9_000.0), now, 7.5));
+            e.apply(&EngineCommand::RecordFix {
+                user: u,
+                fix: GpsFix::new(home.destination(bearing, frac * 9_000.0), now, 7.5),
+            })
+            .unwrap();
         }
         out.extend(step(e, &users, now));
     }
@@ -128,7 +140,7 @@ fn tick_batch_matches_sequential_ticks_across_worker_counts() {
     let reference = run_day8(&mut sequential, n, |e, users, now| {
         let mut evs = Vec::new();
         for &u in users {
-            evs.extend(e.tick(u, now).expect("registered"));
+            evs.extend(e.run_tick(&TickRequest::single(&u, now)).expect("registered").events);
         }
         evs
     });
@@ -157,7 +169,7 @@ fn tick_batch_default_workers_matches_sequential() {
     let reference = run_day8(&mut sequential, n, |e, users, now| {
         let mut evs = Vec::new();
         for &u in users {
-            evs.extend(e.tick(u, now).expect("registered"));
+            evs.extend(e.run_tick(&TickRequest::single(&u, now)).expect("registered").events);
         }
         evs
     });
@@ -204,19 +216,26 @@ fn churn_window(workers: usize) -> (Vec<EngineEvent>, String, u64) {
             let home = TORINO.destination(30.0 * u.0 as f64, 1_500.0 * u.0 as f64);
             let bearing = 80.0 + 15.0 * u.0 as f64;
             let frac = (i as f64 / 39.0).min(1.0);
-            e.record_fix(u, GpsFix::new(home.destination(bearing, frac * 9_000.0), now, 7.5));
+            e.apply(&EngineCommand::RecordFix {
+                user: u,
+                fix: GpsFix::new(home.destination(bearing, frac * 9_000.0), now, 7.5),
+            })
+            .unwrap();
         }
         if i == 7 {
-            e.record_feedback(FeedbackEvent {
-                user: UserId(2),
-                clip: None,
-                category: CategoryId::new(2),
-                kind: FeedbackKind::Like,
-                time: now,
-            });
+            e.apply(&EngineCommand::RecordFeedback {
+                event: FeedbackEvent {
+                    user: UserId(2),
+                    clip: None,
+                    category: CategoryId::new(2),
+                    kind: FeedbackKind::Like,
+                    time: now,
+                },
+            })
+            .unwrap();
         }
         if i == 9 {
-            events.extend(e.skip(UserId(3), now));
+            events.extend(e.apply(&EngineCommand::Skip { user: UserId(3), now }).unwrap());
         }
         let report = e.run_tick(&TickRequest::batch(&users, now).with_workers(workers));
         events.extend(report.expect("registered").events);

@@ -89,14 +89,7 @@ pub const ROOTS: &[(&str, &str)] = &[
     ("core::bus::Bus::dead_letter_exhausted", "bus delivery"),
     ("recommender::scheduler::SchedulerConfig::pack", "recommender scoring"),
     ("recommender::ensemble::diversify", "recommender scoring"),
-    ("recommender::candidates::CandidateFilter::candidates", "recommender scoring"),
-    ("recommender::candidates::CandidateFilter::candidates_excluding", "recommender scoring"),
     ("recommender::candidates::CandidateFilter::candidates_excluding_stats", "recommender scoring"),
-    ("recommender::candidates::CandidateFilter::candidates_indexed", "recommender scoring"),
-    (
-        "recommender::candidates::CandidateFilter::candidates_indexed_excluding",
-        "recommender scoring",
-    ),
     (
         "recommender::candidates::CandidateFilter::candidates_indexed_excluding_stats",
         "recommender scoring",

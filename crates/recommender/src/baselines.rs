@@ -64,7 +64,9 @@ pub fn content_only_ranking(
     let weights = ScoringWeights { content_weight: 1.0, ..*base };
     let filter = crate::candidates::CandidateFilter::default();
     let prefs = feedback.preferences(user, ctx.now);
-    filter.candidates(repo, &prefs, ctx, &weights)
+    filter
+        .candidates_excluding_stats(repo, &prefs, ctx, &weights, &std::collections::HashSet::new())
+        .0
 }
 
 /// Seeded pseudo-random ranking (uniform shuffle) — the floor any

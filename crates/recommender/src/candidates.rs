@@ -10,9 +10,9 @@
 //!
 //! Two retrieval paths produce the same shortlist:
 //!
-//! * [`CandidateFilter::candidates_excluding`] — the reference linear
+//! * [`CandidateFilter::candidates_excluding_stats`] — the reference linear
 //!   scan over every clip in the repository;
-//! * [`CandidateFilter::candidates_indexed_excluding`] — index-backed
+//! * [`CandidateFilter::candidates_indexed_excluding_stats`] — index-backed
 //!   retrieval over the repository's per-category posting lists
 //!   (freshness cutoff by binary search) unioned with grid-bucketed
 //!   route geo hits, then scoring only that set.
@@ -198,35 +198,10 @@ impl Default for CandidateFilter {
 }
 
 impl CandidateFilter {
-    /// Builds the scored candidate list, best first.
-    #[must_use]
-    pub fn candidates(
-        &self,
-        repo: &ContentRepository,
-        prefs: &PreferenceVector,
-        ctx: &ListenerContext,
-        weights: &ScoringWeights,
-    ) -> Vec<ScoredClip> {
-        self.candidates_excluding(repo, prefs, ctx, weights, &HashSet::new())
-    }
-
-    /// Like [`Self::candidates`], excluding already-played clips.
     /// Reference linear scan: every clip in the repository is tested
-    /// against the inclusion predicate.
-    #[must_use]
-    pub fn candidates_excluding(
-        &self,
-        repo: &ContentRepository,
-        prefs: &PreferenceVector,
-        ctx: &ListenerContext,
-        weights: &ScoringWeights,
-        exclude: &HashSet<ClipId>,
-    ) -> Vec<ScoredClip> {
-        self.candidates_excluding_stats(repo, prefs, ctx, weights, exclude).0
-    }
-
-    /// [`Self::candidates_excluding`] plus the per-stage
-    /// [`RetrievalStats`] of the scan.
+    /// against the inclusion predicate, already-played clips in
+    /// `exclude` are cut, and the survivors are scored. Returns the
+    /// shortlist best first, plus the per-stage [`RetrievalStats`].
     #[must_use]
     pub fn candidates_excluding_stats(
         &self,
@@ -260,37 +235,6 @@ impl CandidateFilter {
         (self.finalize(out, &mut stats), stats)
     }
 
-    /// Index-backed retrieval: the same shortlist as
-    /// [`Self::candidates_excluding`], found without scanning the
-    /// repository. Candidates are the union of (a) posting-list
-    /// suffixes (binary-searched freshness cutoff) of every category
-    /// whose preference clears the threshold, and (b) grid-bucketed
-    /// geo hits along the route ahead. Only that set is scored.
-    #[must_use]
-    pub fn candidates_indexed(
-        &self,
-        repo: &ContentRepository,
-        prefs: &PreferenceVector,
-        ctx: &ListenerContext,
-        weights: &ScoringWeights,
-    ) -> Vec<ScoredClip> {
-        self.candidates_indexed_excluding(repo, prefs, ctx, weights, &HashSet::new())
-    }
-
-    /// Like [`Self::candidates_indexed`], excluding already-played
-    /// clips.
-    #[must_use]
-    pub fn candidates_indexed_excluding(
-        &self,
-        repo: &ContentRepository,
-        prefs: &PreferenceVector,
-        ctx: &ListenerContext,
-        weights: &ScoringWeights,
-        exclude: &HashSet<ClipId>,
-    ) -> Vec<ScoredClip> {
-        self.candidates_indexed_excluding_stats(repo, prefs, ctx, weights, exclude).0
-    }
-
     /// The walk [`Self::candidates_indexed_excluding_stats`] will run
     /// for a repository of `repo_len` clips. The dispatch below routes
     /// through this predicate, so callers that report it (e.g. the e13
@@ -304,8 +248,14 @@ impl CandidateFilter {
         }
     }
 
-    /// [`Self::candidates_indexed_excluding`] plus the per-stage
-    /// [`RetrievalStats`] of the index walk. Freshness and preference
+    /// Index-backed retrieval, the production dispatch: the same
+    /// shortlist as [`Self::candidates_excluding_stats`], found without
+    /// scanning the repository. Candidates are the union of (a)
+    /// posting-list suffixes (binary-searched freshness cutoff) of every
+    /// category whose preference clears the threshold, and (b)
+    /// grid-bucketed geo hits along the route ahead. Only that set is
+    /// scored. Returns the per-stage [`RetrievalStats`] of the index
+    /// walk alongside the shortlist. Freshness and preference
     /// cuts are counted structurally from posting-list lengths, so the
     /// stats cost O(categories) on top of the clips actually visited.
     ///
@@ -521,6 +471,17 @@ mod tests {
         ListenerContext::stationary(TimePoint::at(0, 9, 0, 0))
     }
 
+    /// The reference scan's shortlist with nothing excluded.
+    fn scan(
+        filter: &CandidateFilter,
+        repo: &ContentRepository,
+        prefs: &PreferenceVector,
+        ctx: &ListenerContext,
+        weights: &ScoringWeights,
+    ) -> Vec<ScoredClip> {
+        filter.candidates_excluding_stats(repo, prefs, ctx, weights, &HashSet::new()).0
+    }
+
     fn driving_ctx(now: TimePoint) -> ListenerContext {
         let prediction = TripPrediction {
             destination: 1,
@@ -545,7 +506,7 @@ mod tests {
         let filter = CandidateFilter::default();
         let weights = ScoringWeights::default();
         let p = prefs(1, &[8], &[5]);
-        let cands = filter.candidates(&repo(), &p, &ctx(), &weights);
+        let cands = scan(&filter, &repo(), &p, &ctx(), &weights);
         assert_eq!(cands[0].clip, ClipId(1), "wine first");
         assert!(
             cands.iter().all(|c| c.clip != ClipId(2)),
@@ -560,12 +521,8 @@ mod tests {
         let mut late_ctx = ctx();
         late_ctx.now = TimePoint::at(10, 9, 0, 0); // ten days later
         let filter = CandidateFilter::default();
-        let cands = filter.candidates(
-            &r,
-            &PreferenceVector::neutral(),
-            &late_ctx,
-            &ScoringWeights::default(),
-        );
+        let cands =
+            scan(&filter, &r, &PreferenceVector::neutral(), &late_ctx, &ScoringWeights::default());
         assert!(cands.iter().all(|c| c.clip != ClipId(9)));
     }
 
@@ -574,8 +531,9 @@ mod tests {
         let filter = CandidateFilter::default();
         let p = PreferenceVector::neutral();
         let exclude: HashSet<ClipId> = [ClipId(1)].into_iter().collect();
-        let cands =
-            filter.candidates_excluding(&repo(), &p, &ctx(), &ScoringWeights::default(), &exclude);
+        let cands = filter
+            .candidates_excluding_stats(&repo(), &p, &ctx(), &ScoringWeights::default(), &exclude)
+            .0;
         assert!(cands.iter().all(|c| c.clip != ClipId(1)));
         assert_eq!(cands.len(), 2);
     }
@@ -588,7 +546,7 @@ mod tests {
         }
         let filter = CandidateFilter { max_candidates: 10, ..Default::default() };
         let cands =
-            filter.candidates(&r, &PreferenceVector::neutral(), &ctx(), &ScoringWeights::default());
+            scan(&filter, &r, &PreferenceVector::neutral(), &ctx(), &ScoringWeights::default());
         assert_eq!(cands.len(), 10);
     }
 
@@ -596,7 +554,7 @@ mod tests {
     fn scores_sorted_descending() {
         let filter = CandidateFilter::default();
         let p = prefs(1, &[8, 9], &[]);
-        let cands = filter.candidates(&repo(), &p, &ctx(), &ScoringWeights::default());
+        let cands = scan(&filter, &repo(), &p, &ctx(), &ScoringWeights::default());
         assert!(cands.windows(2).all(|w| w[0].score >= w[1].score));
     }
 
@@ -614,7 +572,7 @@ mod tests {
         let drive_ctx = driving_ctx(TimePoint::at(10, 8, 0, 0)); // clip is 10 days old
         let p = prefs(1, &[], &[5]);
         let cands =
-            CandidateFilter::default().candidates(&r, &p, &drive_ctx, &ScoringWeights::default());
+            scan(&CandidateFilter::default(), &r, &p, &drive_ctx, &ScoringWeights::default());
         let hit = cands.iter().find(|c| c.clip == ClipId(42));
         let hit = hit.expect("geo-pinned clip must remain a candidate");
         assert!(hit.along_route_m.is_some());
@@ -646,7 +604,7 @@ mod tests {
         }
         let filter = CandidateFilter { max_candidates: 10, ..Default::default() };
         let p = prefs(1, &[0, 1, 2, 3], &[5]);
-        let cands = filter.candidates(&r, &p, &drive_ctx, &ScoringWeights::default());
+        let cands = scan(&filter, &r, &p, &drive_ctx, &ScoringWeights::default());
         assert!(cands.len() > filter.max_candidates, "geo hits spared");
         for id in [100u64, 101] {
             assert!(cands.iter().any(|c| c.clip == ClipId(id)), "spared {id}");
@@ -672,7 +630,8 @@ mod tests {
         });
         r.ingest(past_end);
         let drive_ctx = driving_ctx(TimePoint::at(10, 8, 0, 0));
-        let cands = CandidateFilter::default().candidates(
+        let cands = scan(
+            &CandidateFilter::default(),
             &r,
             &PreferenceVector::neutral(),
             &drive_ctx,
@@ -749,8 +708,9 @@ mod tests {
         let p = prefs(1, &[8], &[5]);
         let exclude: HashSet<ClipId> = [ClipId(3)].into_iter().collect();
         for c in [ctx(), driving_ctx(TimePoint::at(10, 8, 0, 0))] {
-            let scan = filter.candidates_excluding(&r, &p, &c, &weights, &exclude);
-            let indexed = filter.candidates_indexed_excluding(&r, &p, &c, &weights, &exclude);
+            let (scan, _) = filter.candidates_excluding_stats(&r, &p, &c, &weights, &exclude);
+            let (indexed, _) =
+                filter.candidates_indexed_excluding_stats(&r, &p, &c, &weights, &exclude);
             assert_eq!(scan, indexed);
         }
     }
@@ -781,8 +741,8 @@ mod tests {
             assert_eq!(fb_stats, scan_stats, "fallback must report the scan's stats");
             assert_eq!(fb_stats.considered, r.len() as u64, "scan examines the whole repo");
             // …while the shortlist stays identical to the index walk's.
-            let via_index =
-                indexed_only.candidates_indexed_excluding(&r, &p, &c, &weights, &exclude);
+            let (via_index, _) =
+                indexed_only.candidates_indexed_excluding_stats(&r, &p, &c, &weights, &exclude);
             assert_eq!(via_fallback, via_scan);
             assert_eq!(via_fallback, via_index);
         }

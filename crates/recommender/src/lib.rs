@@ -69,7 +69,14 @@ impl Recommender {
         ctx: &ListenerContext,
     ) -> Vec<ScoredClip> {
         let prefs = feedback.preferences(user, ctx.now);
-        self.filter.candidates(repo, &prefs, ctx, &self.weights)
+        let (ranked, _) = self.filter.candidates_excluding_stats(
+            repo,
+            &prefs,
+            ctx,
+            &self.weights,
+            &std::collections::HashSet::new(),
+        );
+        ranked
     }
 
     /// The full proactive pipeline for a driving listener: rank, then

@@ -210,8 +210,9 @@ proptest! {
         // property exercises it even on small generated catalogs.
         let filter = CandidateFilter { max_candidates, scan_below: 0, ..Default::default() };
         let weights = ScoringWeights::default();
-        let scan = filter.candidates_excluding(&repo, &prefs, &ctx, &weights, &exclude);
-        let indexed = filter.candidates_indexed_excluding(&repo, &prefs, &ctx, &weights, &exclude);
+        let (scan, _) = filter.candidates_excluding_stats(&repo, &prefs, &ctx, &weights, &exclude);
+        let (indexed, _) =
+            filter.candidates_indexed_excluding_stats(&repo, &prefs, &ctx, &weights, &exclude);
         prop_assert_eq!(scan, indexed);
     }
 

@@ -26,8 +26,8 @@ use pphcr_catalog::{CategoryId, ClipKind, Gazetteer, GeoTag, ServiceIndex};
 use pphcr_core::persist::snapshot_engine;
 use pphcr_core::persist::wal::encode_record;
 use pphcr_core::{
-    restore_engine, ApplyResult, CoverageMap, DurableEngine, Engine, EngineConfig, FaultProfile,
-    FaultyTransport, MemWal, UnicastLink, WalOp, WalRecord,
+    restore_engine, ApplyResult, CoverageMap, DurableEngine, Engine, EngineCommand, EngineConfig,
+    FaultProfile, FaultyTransport, MemWal, UnicastLink, WalRecord,
 };
 use pphcr_geo::{GeoPoint, NodeKind, ProjectedPoint, RoadNetwork, TimePoint, TimeSpan};
 use pphcr_trajectory::GpsFix;
@@ -59,15 +59,15 @@ pub fn genesis_engine(seed: u64) -> Engine {
 }
 
 /// The scripted workload: a deterministic function of `seed` covering
-/// every [`WalOp`] variant, with ticks interleaved so proactive
+/// every [`EngineCommand`] variant, with ticks interleaved so proactive
 /// deliveries, retries and health transitions happen mid-log.
 #[must_use]
-pub fn scripted_ops(seed: u64) -> Vec<WalOp> {
+pub fn scripted_ops(seed: u64) -> Vec<EngineCommand> {
     let mut ops = Vec::new();
     let start = t0();
 
     for u in 1..=USERS {
-        ops.push(WalOp::RegisterUser {
+        ops.push(EngineCommand::RegisterUser {
             profile: UserProfile {
                 id: UserId(u),
                 name: format!("listener {u}"),
@@ -78,11 +78,11 @@ pub fn scripted_ops(seed: u64) -> Vec<WalOp> {
         });
     }
 
-    ops.push(WalOp::TrainClassifier {
+    ops.push(EngineCommand::TrainClassifier {
         category: CategoryId::new(1),
         tokens: vec!["traffic".into(), "ring".into(), "road".into(), "queue".into()],
     });
-    ops.push(WalOp::TrainClassifier {
+    ops.push(EngineCommand::TrainClassifier {
         category: CategoryId::new(2),
         tokens: vec!["football".into(), "derby".into(), "goal".into(), "league".into()],
     });
@@ -92,18 +92,18 @@ pub fn scripted_ops(seed: u64) -> Vec<WalOp> {
     let mut coverage = CoverageMap::new();
     coverage.add(ProjectedPoint::new(0.0, 0.0), 15_000.0);
     coverage.add(ProjectedPoint::new(9_000.0, 2_000.0), 8_000.0);
-    ops.push(WalOp::SetCoverage { coverage });
+    ops.push(EngineCommand::SetCoverage { coverage });
     let mut network = RoadNetwork::new();
     let a = network.add_node(ProjectedPoint::new(0.0, 0.0), NodeKind::Intersection);
     let b = network.add_node(ProjectedPoint::new(1_200.0, 300.0), NodeKind::Plain);
     let c = network.add_node(ProjectedPoint::new(2_500.0, 900.0), NodeKind::Roundabout);
     network.add_edge(a, b, 13.9);
     network.add_edge(b, c, 25.0);
-    ops.push(WalOp::SetRoadNetwork { network });
+    ops.push(EngineCommand::SetRoadNetwork { network });
     let mut gazetteer = Gazetteer::new();
     gazetteer.add_place("torino", GeoPoint::new(ORIGIN.0, ORIGIN.1), 5_000.0);
     gazetteer.add_place("moncalieri", GeoPoint::new(45.0005, 7.6800), 3_000.0);
-    ops.push(WalOp::SetGazetteer { gazetteer });
+    ops.push(EngineCommand::SetGazetteer { gazetteer });
 
     // Corpus: ten clips, half editorially labelled, some geo-tagged,
     // publication times derived from the seed so different seeds walk
@@ -119,7 +119,7 @@ pub fn scripted_ops(seed: u64) -> Vec<WalOp> {
             None
         };
         let editorial = if i % 2 == 0 { Some(CategoryId::new((i % 3) as u16 + 1)) } else { None };
-        ops.push(WalOp::IngestClip {
+        ops.push(EngineCommand::IngestClip {
             title: format!("clip {i} (seed {seed})"),
             kind: if i % 4 == 0 { ClipKind::NewsBulletin } else { ClipKind::Podcast },
             duration: TimeSpan::seconds(120 + (i % 5) * 30),
@@ -139,7 +139,7 @@ pub fn scripted_ops(seed: u64) -> Vec<WalOp> {
     let mut mixed = Vec::new();
     for step in 0..6u64 {
         for u in 1..=2u64 {
-            mixed.push(WalOp::RecordFix {
+            mixed.push(EngineCommand::RecordFix {
                 user: UserId(u),
                 fix: GpsFix {
                     point: GeoPoint::new(
@@ -163,7 +163,7 @@ pub fn scripted_ops(seed: u64) -> Vec<WalOp> {
     .into_iter()
     .enumerate()
     {
-        mixed.push(WalOp::RecordFeedback {
+        mixed.push(EngineCommand::RecordFeedback {
             event: FeedbackEvent {
                 user: UserId(i as u64 % USERS + 1),
                 clip: if i % 2 == 0 { Some(ClipId(i as u64 + 1)) } else { None },
@@ -176,37 +176,42 @@ pub fn scripted_ops(seed: u64) -> Vec<WalOp> {
 
     // Editorial injections: two valid, one for an unknown listener —
     // the rejection is itself a logged outcome replay must reproduce.
-    mixed.push(WalOp::Inject {
+    mixed.push(EngineCommand::Inject {
         user: UserId(1),
         clip: ClipId(1),
         at: start.advance(TimeSpan::seconds(70)),
         note: "breaking".into(),
     });
-    mixed.push(WalOp::Inject {
+    mixed.push(EngineCommand::Inject {
         user: UserId(3),
         clip: ClipId(2),
         at: start.advance(TimeSpan::seconds(75)),
         note: "weather".into(),
     });
-    mixed.push(WalOp::Inject {
+    mixed.push(EngineCommand::Inject {
         user: UserId(99),
         clip: ClipId(1),
         at: start.advance(TimeSpan::seconds(80)),
         note: "ghost".into(),
     });
 
-    mixed.push(WalOp::ChangeService {
+    mixed.push(EngineCommand::ChangeService {
         user: UserId(2),
         service: ServiceIndex(1),
         now: start.advance(TimeSpan::seconds(90)),
     });
-    mixed.push(WalOp::Skip { user: UserId(1), now: start.advance(TimeSpan::seconds(95)) });
+    mixed.push(EngineCommand::Skip { user: UserId(1), now: start.advance(TimeSpan::seconds(95)) });
 
     // Client player advances: one for a live listener (session bookkeeping
     // must replay), one for a ghost (the typed rejection is itself logged).
-    mixed.push(WalOp::AdvancePlayer { user: UserId(1), now: start.advance(TimeSpan::seconds(97)) });
-    mixed
-        .push(WalOp::AdvancePlayer { user: UserId(99), now: start.advance(TimeSpan::seconds(98)) });
+    mixed.push(EngineCommand::AdvancePlayer {
+        user: UserId(1),
+        now: start.advance(TimeSpan::seconds(97)),
+    });
+    mixed.push(EngineCommand::AdvancePlayer {
+        user: UserId(99),
+        now: start.advance(TimeSpan::seconds(98)),
+    });
 
     // Interleave the mixed ops with batched parallel ticks over a
     // ~35-step horizon so bus retries, proactive triggers and health
@@ -219,7 +224,7 @@ pub fn scripted_ops(seed: u64) -> Vec<WalOp> {
                 ops.push(op);
             }
         }
-        ops.push(WalOp::Tick {
+        ops.push(EngineCommand::Tick {
             users: users.clone(),
             now: start.advance(TimeSpan::seconds(100 + step * 30)),
             batch: true,
@@ -296,7 +301,7 @@ impl SweepReport {
 
 /// Frames the script into per-record byte lengths (the frame boundary
 /// table the sweep cuts at).
-fn frame_lengths(ops: &[WalOp]) -> Vec<usize> {
+fn frame_lengths(ops: &[EngineCommand]) -> Vec<usize> {
     ops.iter()
         .enumerate()
         .map(|(i, op)| encode_record(&WalRecord { seq: i as u64 + 1, op: op.clone() }).len())
@@ -308,7 +313,7 @@ fn frame_lengths(ops: &[WalOp]) -> Vec<usize> {
 fn recover_and_continue(
     genesis: &[u8],
     wal_prefix: &[u8],
-    ops: &[WalOp],
+    ops: &[EngineCommand],
     expect_replayed: usize,
     expect_torn: usize,
 ) -> Result<RunTrace, String> {
@@ -454,7 +459,7 @@ mod tests {
 
     /// Applying one op through [`apply_record`] directly must match the
     /// durable (log-then-apply) path.
-    fn apply_direct(engine: &mut Engine, seq: u64, op: WalOp) -> ApplyResult {
+    fn apply_direct(engine: &mut Engine, seq: u64, op: EngineCommand) -> ApplyResult {
         apply_record(engine, &WalRecord { seq, op })
     }
 
@@ -464,19 +469,19 @@ mod tests {
         let mut seen = [false; 13];
         for op in &ops {
             let idx = match op {
-                WalOp::RegisterUser { .. } => 0,
-                WalOp::ChangeService { .. } => 1,
-                WalOp::TrainClassifier { .. } => 2,
-                WalOp::IngestClip { .. } => 3,
-                WalOp::RecordFix { .. } => 4,
-                WalOp::RecordFeedback { .. } => 5,
-                WalOp::Inject { .. } => 6,
-                WalOp::Skip { .. } => 7,
-                WalOp::Tick { .. } => 8,
-                WalOp::AdvancePlayer { .. } => 9,
-                WalOp::SetCoverage { .. } => 10,
-                WalOp::SetRoadNetwork { .. } => 11,
-                WalOp::SetGazetteer { .. } => 12,
+                EngineCommand::RegisterUser { .. } => 0,
+                EngineCommand::ChangeService { .. } => 1,
+                EngineCommand::TrainClassifier { .. } => 2,
+                EngineCommand::IngestClip { .. } => 3,
+                EngineCommand::RecordFix { .. } => 4,
+                EngineCommand::RecordFeedback { .. } => 5,
+                EngineCommand::Inject { .. } => 6,
+                EngineCommand::Skip { .. } => 7,
+                EngineCommand::Tick { .. } => 8,
+                EngineCommand::AdvancePlayer { .. } => 9,
+                EngineCommand::SetCoverage { .. } => 10,
+                EngineCommand::SetRoadNetwork { .. } => 11,
+                EngineCommand::SetGazetteer { .. } => 12,
             };
             if let Some(slot) = seen.get_mut(idx) {
                 *slot = true;

@@ -13,8 +13,8 @@ use pphcr_audio::splice::{PlannedSegment, SegmentSource, SplicePlan};
 use pphcr_catalog::ServiceIndex;
 use pphcr_catalog::{CategoryId, ClipKind, ContentRepository, CATEGORY_COUNT};
 use pphcr_core::{
-    CacheQuanta, DeliveryPlanKind, Engine, EngineConfig, EngineEvent, HealthCounts,
-    NetworkCostModel, PlayerEvent, TickRequest,
+    CacheQuanta, DeliveryPlanKind, Engine, EngineCommand, EngineConfig, EngineEvent, HealthCounts,
+    NetworkCostModel, PlaybackMode, PlayerEvent, TickRequest,
 };
 use pphcr_geo::{GeoPoint, ProjectedPoint, TimePoint, TimeSpan};
 use pphcr_nlp::{AsrConfig, NaiveBayes, SimulatedAsr, Vocabulary};
@@ -359,7 +359,12 @@ pub fn e3_pipeline(podcasts_per_day: usize, users: usize, seed: u64) -> Vec<E3Ro
     let t = crate::timing::stopwatch();
     let train = gen.training_set(8, 150);
     for doc in &train {
-        engine.train_classifier(doc.category, &doc.tokens);
+        engine
+            .apply(&EngineCommand::TrainClassifier {
+                category: doc.category,
+                tokens: doc.tokens.clone(),
+            })
+            .expect("training cannot fail");
     }
     let dt = t.elapsed_s();
     rows.push(E3Row {
@@ -376,15 +381,17 @@ pub fn e3_pipeline(podcasts_per_day: usize, users: usize, seed: u64) -> Vec<E3Ro
     let t = crate::timing::stopwatch();
     for clip in &batch {
         let transcript = asr.transcribe(&clip.doc.tokens, &pool);
-        engine.ingest_clip(
-            clip.title.clone(),
-            clip.kind,
-            clip.duration,
-            clip.published,
-            clip.geo,
-            &transcript,
-            None,
-        );
+        engine
+            .apply(&EngineCommand::IngestClip {
+                title: clip.title.clone(),
+                kind: clip.kind,
+                duration: clip.duration,
+                published: clip.published,
+                geo: clip.geo,
+                tokens: transcript,
+                editorial: None,
+            })
+            .expect("ingest cannot fail");
     }
     let dt = t.elapsed_s();
     rows.push(E3Row {
@@ -400,13 +407,21 @@ pub fn e3_pipeline(podcasts_per_day: usize, users: usize, seed: u64) -> Vec<E3Ro
     for commuter in &population.commuters {
         for (cat, &taste) in commuter.tastes.iter().enumerate() {
             if taste.abs() > 0.5 {
-                engine.record_feedback(FeedbackEvent {
-                    user: UserId(commuter.index),
-                    clip: None,
-                    category: CategoryId::new(cat as u16),
-                    kind: if taste > 0.0 { FeedbackKind::Like } else { FeedbackKind::Dislike },
-                    time: now,
-                });
+                engine
+                    .apply(&EngineCommand::RecordFeedback {
+                        event: FeedbackEvent {
+                            user: UserId(commuter.index),
+                            clip: None,
+                            category: CategoryId::new(cat as u16),
+                            kind: if taste > 0.0 {
+                                FeedbackKind::Like
+                            } else {
+                                FeedbackKind::Dislike
+                            },
+                            time: now,
+                        },
+                    })
+                    .expect("feedback cannot fail");
             }
         }
     }
@@ -505,7 +520,7 @@ pub fn e4_skip_propensity(
             // excluding clips this listener already played.
             let ctx = ListenerContext::stationary(now);
             let prefs = learned.preferences(UserId(commuter.index), now);
-            let ranked = recommender.filter.candidates_excluding(
+            let (ranked, _) = recommender.filter.candidates_excluding_stats(
                 &world.repo,
                 &prefs,
                 &ctx,
@@ -692,42 +707,58 @@ impl fmt::Display for E6Report {
 pub fn e6_injection(seed: u64) -> E6Report {
     let mut engine = Engine::new(EngineConfig::default());
     let t0 = TimePoint::at(0, 9, 0, 0);
-    engine.register_user(
-        UserProfile {
-            id: UserId(1),
-            name: "target".into(),
-            age_band: AgeBand::Adult,
-            favourite_service: ServiceIndex(0),
-        },
-        t0,
-    );
+    engine
+        .apply(&EngineCommand::RegisterUser {
+            profile: UserProfile {
+                id: UserId(1),
+                name: "target".into(),
+                age_band: AgeBand::Adult,
+                favourite_service: ServiceIndex(0),
+            },
+            now: t0,
+        })
+        .expect("registration cannot fail");
     // Organic content.
     for i in 0..5u64 {
-        engine.ingest_clip(
-            format!("organic {i}"),
-            ClipKind::Podcast,
-            TimeSpan::minutes(5),
-            t0,
-            None,
-            &[],
-            Some(CategoryId::new((seed % 30) as u16)),
-        );
+        engine
+            .apply(&EngineCommand::IngestClip {
+                title: format!("organic {i}"),
+                kind: ClipKind::Podcast,
+                duration: TimeSpan::minutes(5),
+                published: t0,
+                geo: None,
+                tokens: vec![],
+                editorial: Some(CategoryId::new((seed % 30) as u16)),
+            })
+            .expect("ingest cannot fail");
     }
-    let (injected, _) = engine.ingest_clip(
-        "editorial pick",
-        ClipKind::Podcast,
-        TimeSpan::minutes(4),
-        t0,
-        None,
-        &[],
-        Some(CategoryId::new(2)),
-    );
-    let _ = engine.inject(UserId(1), injected, t0, "demo injection");
+    // Clip ids are dense in ingest order: the pick follows the organics.
+    let injected = pphcr_audio::ClipId(5);
+    engine
+        .apply(&EngineCommand::IngestClip {
+            title: "editorial pick".into(),
+            kind: ClipKind::Podcast,
+            duration: TimeSpan::minutes(4),
+            published: t0,
+            geo: None,
+            tokens: vec![],
+            editorial: Some(CategoryId::new(2)),
+        })
+        .expect("ingest cannot fail");
+    let _ = engine.apply(&EngineCommand::Inject {
+        user: UserId(1),
+        clip: injected,
+        at: t0,
+        note: "demo injection".into(),
+    });
     let mut hops = 0;
     let mut ticks = 0;
     for i in 1..=5u32 {
         let now = t0.advance(TimeSpan::seconds(u64::from(i) * 10));
-        let events = engine.tick(UserId(1), now).unwrap_or_default();
+        let events = engine
+            .run_tick(&TickRequest::single(&UserId(1), now))
+            .map(|report| report.events)
+            .unwrap_or_default();
         if let Some(EngineEvent::InjectionDelivered { hops: h, .. }) =
             events.iter().find(|e| matches!(e, EngineEvent::InjectionDelivered { .. }))
         {
@@ -738,10 +769,10 @@ pub fn e6_injection(seed: u64) -> E6Report {
     }
     // Does it play before organic content? Trigger a skip-driven session.
     let now = t0.advance(TimeSpan::minutes(2));
-    let events = engine.advance_player(UserId(1), now).unwrap_or_default();
-    let played_first = events
-        .iter()
-        .any(|e| matches!(e, pphcr_core::PlayerEvent::ClipStarted(c) if *c == injected));
+    let _ = engine.apply(&EngineCommand::AdvancePlayer { user: UserId(1), now });
+    let played_first = engine.player(UserId(1)).is_some_and(|p| {
+        matches!(p.mode(), PlaybackMode::Clip { clip, started } if clip.clip == injected && started == now)
+    });
     E6Report { hops, ticks_to_delivery: ticks, played_first }
 }
 
@@ -1148,28 +1179,32 @@ pub fn e12_resilience(users: u64, injections_per_user: u64, seed: u64) -> Vec<E1
         profile.apply(&mut engine, seed);
         let t0 = TimePoint::at(0, 9, 0, 0);
         for u in 1..=users {
-            engine.register_user(
-                UserProfile {
-                    id: UserId(u),
-                    name: format!("listener {u}"),
-                    age_band: AgeBand::Adult,
-                    favourite_service: ServiceIndex(0),
-                },
-                t0,
-            );
+            engine
+                .apply(&EngineCommand::RegisterUser {
+                    profile: UserProfile {
+                        id: UserId(u),
+                        name: format!("listener {u}"),
+                        age_band: AgeBand::Adult,
+                        favourite_service: ServiceIndex(0),
+                    },
+                    now: t0,
+                })
+                .expect("registration cannot fail");
         }
         let mut clips = Vec::new();
         for i in 0..(users * injections_per_user) {
-            let (clip, _) = engine.ingest_clip(
-                format!("push {i}"),
-                ClipKind::Podcast,
-                TimeSpan::minutes(3),
-                t0,
-                None,
-                &[],
-                Some(CategoryId::new((i % 30) as u16)),
-            );
-            clips.push(clip);
+            engine
+                .apply(&EngineCommand::IngestClip {
+                    title: format!("push {i}"),
+                    kind: ClipKind::Podcast,
+                    duration: TimeSpan::minutes(3),
+                    published: t0,
+                    geo: None,
+                    tokens: vec![],
+                    editorial: Some(CategoryId::new((i % 30) as u16)),
+                })
+                .expect("ingest cannot fail");
+            clips.push(pphcr_audio::ClipId(i));
         }
         let mut submitted = 0u64;
         let mut delivered = 0u64;
@@ -1183,7 +1218,15 @@ pub fn e12_resilience(users: u64, injections_per_user: u64, seed: u64) -> Vec<E1
             if step % 8 == 0 {
                 for u in 1..=users {
                     if let Some(clip) = clip_iter.next() {
-                        if engine.inject(UserId(u), clip, now, "e12").is_ok() {
+                        if engine
+                            .apply(&EngineCommand::Inject {
+                                user: UserId(u),
+                                clip,
+                                at: now,
+                                note: "e12".into(),
+                            })
+                            .is_ok()
+                        {
                             submitted += 1;
                         }
                     }
@@ -1367,7 +1410,8 @@ pub fn e13_archive_world(clips: usize, users: usize, seed: u64) -> TripWorld {
 /// Each pass runs `1 + rounds` times — the first discarded as warmup,
 /// the minimum of the rest reported — so allocator warm-up and cold
 /// caches cannot contaminate the comparison. The "indexed" column
-/// times the production dispatch ([`CandidateFilter::candidates_indexed`]
+/// times the production dispatch
+/// ([`CandidateFilter::candidates_indexed_excluding_stats`]
 /// including its `scan_below` fallback); the row's `dispatch` field
 /// records which walk that actually was.
 #[must_use]
@@ -1388,19 +1432,28 @@ pub fn e13_retrieval(grid: &[(usize, usize)], seed: u64, rounds: usize) -> Vec<E
                 (prefs, ctx)
             })
             .collect();
+        let none = std::collections::HashSet::new();
         let mut scan_cands = 0u64;
         let scan_s = crate::timing::sample_min_s(1, rounds, || {
             scan_cands = 0;
             for (prefs, ctx) in &jobs {
-                scan_cands += filter.candidates(&world.repo, prefs, ctx, &weights).len() as u64;
+                let (ranked, _) =
+                    filter.candidates_excluding_stats(&world.repo, prefs, ctx, &weights, &none);
+                scan_cands += ranked.len() as u64;
             }
         });
         let mut indexed_cands = 0u64;
         let indexed_s = crate::timing::sample_min_s(1, rounds, || {
             indexed_cands = 0;
             for (prefs, ctx) in &jobs {
-                indexed_cands +=
-                    filter.candidates_indexed(&world.repo, prefs, ctx, &weights).len() as u64;
+                let (ranked, _) = filter.candidates_indexed_excluding_stats(
+                    &world.repo,
+                    prefs,
+                    ctx,
+                    &weights,
+                    &none,
+                );
+                indexed_cands += ranked.len() as u64;
             }
         });
         assert_eq!(scan_cands, indexed_cands, "index diverged from scan at {clips} clips");
@@ -1427,15 +1480,17 @@ fn e13_commuter_fleet(users: u64, config: EngineConfig) -> Engine {
     let mut engine = Engine::new(config);
     let t0 = TimePoint::at(0, 0, 0, 0);
     for u in 1..=users {
-        engine.register_user(
-            UserProfile {
-                id: UserId(u),
-                name: format!("commuter {u}"),
-                age_band: AgeBand::Adult,
-                favourite_service: ServiceIndex(0),
-            },
-            t0,
-        );
+        engine
+            .apply(&EngineCommand::RegisterUser {
+                profile: UserProfile {
+                    id: UserId(u),
+                    name: format!("commuter {u}"),
+                    age_band: AgeBand::Adult,
+                    favourite_service: ServiceIndex(0),
+                },
+                now: t0,
+            })
+            .expect("registration cannot fail");
     }
     for u in 1..=users {
         let home = E13_ORIGIN.destination(30.0 * u as f64, 1_500.0 * u as f64);
@@ -1444,46 +1499,56 @@ fn e13_commuter_fleet(users: u64, config: EngineConfig) -> Engine {
         for day in 0..7u64 {
             let d0 = TimePoint::at(day, 0, 0, 0);
             for i in 0..90u64 {
-                engine.record_fix(
-                    UserId(u),
-                    GpsFix::new(home, d0.advance(TimeSpan::minutes(i * 5)), 0.1),
-                );
+                engine
+                    .apply(&EngineCommand::RecordFix {
+                        user: UserId(u),
+                        fix: GpsFix::new(home, d0.advance(TimeSpan::minutes(i * 5)), 0.1),
+                    })
+                    .expect("a fix cannot fail");
             }
             for i in 0..40u64 {
                 let frac = i as f64 / 39.0;
-                engine.record_fix(
-                    UserId(u),
-                    GpsFix::new(
-                        home.destination(bearing, frac * 9_000.0),
-                        d0.advance(TimeSpan::hours(8)).advance(TimeSpan::seconds(i * 30)),
-                        7.5,
-                    ),
-                );
+                engine
+                    .apply(&EngineCommand::RecordFix {
+                        user: UserId(u),
+                        fix: GpsFix::new(
+                            home.destination(bearing, frac * 9_000.0),
+                            d0.advance(TimeSpan::hours(8)).advance(TimeSpan::seconds(i * 30)),
+                            7.5,
+                        ),
+                    })
+                    .expect("a fix cannot fail");
             }
             for i in 0..57u64 {
-                engine.record_fix(
-                    UserId(u),
-                    GpsFix::new(work, d0.advance(TimeSpan::minutes(510 + i * 10)), 0.2),
-                );
+                engine
+                    .apply(&EngineCommand::RecordFix {
+                        user: UserId(u),
+                        fix: GpsFix::new(work, d0.advance(TimeSpan::minutes(510 + i * 10)), 0.2),
+                    })
+                    .expect("a fix cannot fail");
             }
             for i in 0..66u64 {
-                engine.record_fix(
-                    UserId(u),
-                    GpsFix::new(home, d0.advance(TimeSpan::minutes(1105 + i * 5)), 0.1),
-                );
+                engine
+                    .apply(&EngineCommand::RecordFix {
+                        user: UserId(u),
+                        fix: GpsFix::new(home, d0.advance(TimeSpan::minutes(1105 + i * 5)), 0.1),
+                    })
+                    .expect("a fix cannot fail");
             }
         }
     }
     for i in 0..30u64 {
-        engine.ingest_clip(
-            format!("morning clip {i}"),
-            ClipKind::Podcast,
-            TimeSpan::minutes(4),
-            TimePoint::at(7, 5, 0, 0),
-            None,
-            &[],
-            Some(CategoryId::new((i % u64::from(CATEGORY_COUNT)) as u16)),
-        );
+        engine
+            .apply(&EngineCommand::IngestClip {
+                title: format!("morning clip {i}"),
+                kind: ClipKind::Podcast,
+                duration: TimeSpan::minutes(4),
+                published: TimePoint::at(7, 5, 0, 0),
+                geo: None,
+                tokens: vec![],
+                editorial: Some(CategoryId::new((i % u64::from(CATEGORY_COUNT)) as u16)),
+            })
+            .expect("ingest cannot fail");
     }
     engine
 }
@@ -1500,10 +1565,16 @@ fn e13_commute_window(engine: &mut Engine, users: u64, workers: usize) -> (f64, 
         for &u in &ids {
             let home = E13_ORIGIN.destination(30.0 * u.0 as f64, 1_500.0 * u.0 as f64);
             let bearing = 80.0 + 15.0 * u.0 as f64;
-            engine.record_fix(
-                u,
-                GpsFix::new(home.destination(bearing, i as f64 / 39.0 * 9_000.0), now, 7.5),
-            );
+            engine
+                .apply(&EngineCommand::RecordFix {
+                    user: u,
+                    fix: GpsFix::new(
+                        home.destination(bearing, i as f64 / 39.0 * 9_000.0),
+                        now,
+                        7.5,
+                    ),
+                })
+                .expect("a fix cannot fail");
         }
         let request = TickRequest::batch(&ids, now).with_workers(workers);
         events += engine.run_tick(&request).map_or(0, |r| r.events.len()) as u64;
@@ -1711,15 +1782,17 @@ pub fn e13_scale_fleet(users: u64, config: EngineConfig) -> Engine {
     let mut engine = Engine::new(config);
     let t0 = TimePoint::at(0, 0, 0, 0);
     for u in 1..=users {
-        engine.register_user(
-            UserProfile {
-                id: UserId(u),
-                name: format!("listener {u}"),
-                age_band: AgeBand::Adult,
-                favourite_service: ServiceIndex(0),
-            },
-            t0,
-        );
+        engine
+            .apply(&EngineCommand::RegisterUser {
+                profile: UserProfile {
+                    id: UserId(u),
+                    name: format!("listener {u}"),
+                    age_band: AgeBand::Adult,
+                    favourite_service: ServiceIndex(0),
+                },
+                now: t0,
+            })
+            .expect("registration cannot fail");
     }
     let drivers = e13_driver_count(users);
     for u in 1..=drivers {
@@ -1733,27 +1806,33 @@ pub fn e13_scale_fleet(users: u64, config: EngineConfig) -> Engine {
         for day in 0..3u64 {
             let d0 = TimePoint::at(day, 0, 0, 0);
             for i in 0..15u64 {
-                engine.record_fix(
-                    UserId(u),
-                    GpsFix::new(home, d0.advance(TimeSpan::minutes(i * 30)), 0.1),
-                );
+                engine
+                    .apply(&EngineCommand::RecordFix {
+                        user: UserId(u),
+                        fix: GpsFix::new(home, d0.advance(TimeSpan::minutes(i * 30)), 0.1),
+                    })
+                    .expect("a fix cannot fail");
             }
             for i in 0..40u64 {
                 let frac = i as f64 / 39.0;
-                engine.record_fix(
-                    UserId(u),
-                    GpsFix::new(
-                        home.destination(bearing, frac * 9_000.0),
-                        d0.advance(TimeSpan::hours(8)).advance(TimeSpan::seconds(i * 30)),
-                        7.5,
-                    ),
-                );
+                engine
+                    .apply(&EngineCommand::RecordFix {
+                        user: UserId(u),
+                        fix: GpsFix::new(
+                            home.destination(bearing, frac * 9_000.0),
+                            d0.advance(TimeSpan::hours(8)).advance(TimeSpan::seconds(i * 30)),
+                            7.5,
+                        ),
+                    })
+                    .expect("a fix cannot fail");
             }
             for i in 0..14u64 {
-                engine.record_fix(
-                    UserId(u),
-                    GpsFix::new(work, d0.advance(TimeSpan::minutes(520 + i * 60)), 0.2),
-                );
+                engine
+                    .apply(&EngineCommand::RecordFix {
+                        user: UserId(u),
+                        fix: GpsFix::new(work, d0.advance(TimeSpan::minutes(520 + i * 60)), 0.2),
+                    })
+                    .expect("a fix cannot fail");
             }
         }
     }
@@ -1761,21 +1840,27 @@ pub fn e13_scale_fleet(users: u64, config: EngineConfig) -> Engine {
     // position without any driving history.
     for u in (drivers + 1)..=users {
         let spot = E13_ORIGIN.destination((u % 360) as f64, 500.0 + (u % 97) as f64 * 40.0);
-        engine.record_fix(UserId(u), GpsFix::new(spot, TimePoint::at(2, 20, 0, 0), 0.1));
+        engine
+            .apply(&EngineCommand::RecordFix {
+                user: UserId(u),
+                fix: GpsFix::new(spot, TimePoint::at(2, 20, 0, 0), 0.1),
+            })
+            .expect("a fix cannot fail");
     }
     let clips: Vec<pphcr_audio::ClipId> = (0..30u64)
         .map(|i| {
             engine
-                .ingest_clip(
-                    format!("morning clip {i}"),
-                    ClipKind::Podcast,
-                    TimeSpan::minutes(4),
-                    TimePoint::at(3, 5, 0, 0),
-                    None,
-                    &[],
-                    Some(CategoryId::new((i % u64::from(CATEGORY_COUNT)) as u16)),
-                )
-                .0
+                .apply(&EngineCommand::IngestClip {
+                    title: format!("morning clip {i}"),
+                    kind: ClipKind::Podcast,
+                    duration: TimeSpan::minutes(4),
+                    published: TimePoint::at(3, 5, 0, 0),
+                    geo: None,
+                    tokens: vec![],
+                    editorial: Some(CategoryId::new((i % u64::from(CATEGORY_COUNT)) as u16)),
+                })
+                .expect("ingest cannot fail");
+            pphcr_audio::ClipId(i)
         })
         .collect();
     // Sated drivers: the whole catalog is already heard, so their
@@ -1815,20 +1900,26 @@ fn e13_scale_window(engine: &mut Engine, users: u64, workers: usize, ticks: u64)
             let home = E13_ORIGIN.destination(30.0 * u as f64, 1_000.0 + 37.0 * u as f64);
             let bearing = 80.0 + (u % 24) as f64 * 15.0;
             let frac = (i as f64 / 39.0).min(1.0);
-            engine.record_fix(
-                UserId(u),
-                GpsFix::new(home.destination(bearing, frac * 9_000.0), now, 7.5),
-            );
+            engine
+                .apply(&EngineCommand::RecordFix {
+                    user: UserId(u),
+                    fix: GpsFix::new(home.destination(bearing, frac * 9_000.0), now, 7.5),
+                })
+                .expect("a fix cannot fail");
         }
         for u in 1..=users {
             if u % 977 == i % 977 {
-                engine.record_feedback(FeedbackEvent {
-                    user: UserId(u),
-                    clip: None,
-                    category: CategoryId::new((u % u64::from(CATEGORY_COUNT)) as u16),
-                    kind: FeedbackKind::Like,
-                    time: now,
-                });
+                engine
+                    .apply(&EngineCommand::RecordFeedback {
+                        event: FeedbackEvent {
+                            user: UserId(u),
+                            clip: None,
+                            category: CategoryId::new((u % u64::from(CATEGORY_COUNT)) as u16),
+                            kind: FeedbackKind::Like,
+                            time: now,
+                        },
+                    })
+                    .expect("feedback cannot fail");
             }
         }
         let request = TickRequest::batch(&ids, now).with_workers(workers);

@@ -4,13 +4,16 @@
 //!
 //! Run with `cargo run --example editorial_dashboard`.
 
+use pphcr::audio::ClipId;
 use pphcr::catalog::{CategoryId, ClipKind, Gazetteer, ServiceIndex};
-use pphcr::core::{Dashboard, Engine, EngineCommand, EngineConfig, PlaybackMode};
+use pphcr::core::{
+    Dashboard, Engine, EngineCommand, EngineConfig, EngineError, PlaybackMode, TickRequest,
+};
 use pphcr::geo::{GeoPoint, TimePoint, TimeSpan};
 use pphcr::trajectory::GpsFix;
 use pphcr::userdata::{AgeBand, FeedbackEvent, FeedbackKind, UserId, UserProfile};
 
-fn main() {
+fn main() -> Result<(), EngineError> {
     let center = GeoPoint::new(45.0703, 7.6869);
     // The gazetteer feeds geo estimation of untagged archive clips
     // (the paper's future-work feature); like every mutation it is
@@ -18,24 +21,27 @@ fn main() {
     let mut gazetteer = Gazetteer::new();
     gazetteer.add_place("fairground", center.destination(45.0, 4_000.0), 1_200.0);
     let mut engine = Engine::new(EngineConfig::default());
-    engine.apply(&EngineCommand::SetGazetteer { gazetteer }).expect("attaching cannot fail");
+    engine.apply(&EngineCommand::SetGazetteer { gazetteer })?;
     let listener = UserId(42);
     let t0 = TimePoint::at(0, 7, 0, 0);
-    engine.register_user(
-        UserProfile {
+    engine.apply(&EngineCommand::RegisterUser {
+        profile: UserProfile {
             id: listener,
             name: "Trial listener".into(),
             age_band: AgeBand::Adult,
             favourite_service: ServiceIndex(1),
         },
-        t0,
-    );
+        now: t0,
+    })?;
 
     // The listener moves around town and reacts to content for a few
     // hours — the raw material of the dashboard panels.
     for i in 0..40u64 {
         let p = center.destination((i * 25) as f64 % 360.0, (i % 7) as f64 * 900.0);
-        engine.record_fix(listener, GpsFix::new(p, t0.advance(TimeSpan::minutes(i * 3)), 6.0));
+        engine.apply(&EngineCommand::RecordFix {
+            user: listener,
+            fix: GpsFix::new(p, t0.advance(TimeSpan::minutes(i * 3)), 6.0),
+        })?;
     }
     for (cat, kind) in [
         ("history", FeedbackKind::Like),
@@ -44,13 +50,15 @@ fn main() {
         ("football", FeedbackKind::Skip),
         ("football", FeedbackKind::Skip),
     ] {
-        engine.record_feedback(FeedbackEvent {
-            user: listener,
-            clip: None,
-            category: CategoryId::from_name(cat).unwrap(),
-            kind,
-            time: t0.advance(TimeSpan::hours(1)),
-        });
+        engine.apply(&EngineCommand::RecordFeedback {
+            event: FeedbackEvent {
+                user: listener,
+                clip: None,
+                category: CategoryId::from_name(cat).unwrap(),
+                kind,
+                time: t0.advance(TimeSpan::hours(1)),
+            },
+        })?;
     }
 
     // Archive ingest with gazetteer-based geo estimation: the
@@ -61,31 +69,35 @@ fn main() {
             .split_whitespace()
             .map(str::to_string)
             .collect();
-    let (geo_clip, cat) = engine.ingest_clip(
-        "One hundred years of the fairground",
-        ClipKind::Podcast,
-        TimeSpan::minutes(9),
-        t0,
-        None,
-        &tokens,
-        Some(CategoryId::from_name("history").unwrap()),
-    );
+    engine.apply(&EngineCommand::IngestClip {
+        title: "One hundred years of the fairground".into(),
+        kind: ClipKind::Podcast,
+        duration: TimeSpan::minutes(9),
+        published: t0,
+        geo: None,
+        tokens,
+        editorial: Some(CategoryId::from_name("history").unwrap()),
+    })?;
+    // Clip ids are dense in ingest order: the first clip is `ClipId(0)`.
+    let geo_clip = ClipId(0);
+    let meta = engine.repo.get(geo_clip).unwrap();
     println!(
-        "archive clip ingested: category={cat}, geo tag estimated: {}",
-        engine.repo.get(geo_clip).unwrap().geo.is_some()
+        "archive clip ingested: category={}, geo tag estimated: {}",
+        meta.category,
+        meta.geo.is_some()
     );
 
     // Some organic content too.
     for (title, c) in [("Science hour", "science"), ("Derby recap", "football")] {
-        engine.ingest_clip(
-            title,
-            ClipKind::Podcast,
-            TimeSpan::minutes(6),
-            t0,
-            None,
-            &[],
-            Some(CategoryId::from_name(c).unwrap()),
-        );
+        engine.apply(&EngineCommand::IngestClip {
+            title: title.into(),
+            kind: ClipKind::Podcast,
+            duration: TimeSpan::minutes(6),
+            published: t0,
+            geo: None,
+            tokens: vec![],
+            editorial: Some(CategoryId::from_name(c).unwrap()),
+        })?;
     }
 
     // --- Fig. 5: the dashboard panels -------------------------------
@@ -94,17 +106,23 @@ fn main() {
 
     // --- Fig. 6: manual injection ------------------------------------
     println!("editor injects \"One hundred years of the fairground\" to {listener}…");
-    engine
-        .inject(listener, geo_clip, now, "trial: test geo clip on this listener")
-        .expect("valid injection target");
+    engine.apply(&EngineCommand::Inject {
+        user: listener,
+        clip: geo_clip,
+        at: now,
+        note: "trial: test geo clip on this listener".into(),
+    })?;
     println!("pending injections now: {}", engine.injections.pending(listener).len());
-    let events =
-        engine.tick(listener, now.advance(TimeSpan::seconds(30))).expect("listener is registered");
-    for e in &events {
+    let report =
+        engine.run_tick(&TickRequest::single(&listener, now.advance(TimeSpan::seconds(30))))?;
+    for e in &report.events {
         println!("engine: {e:?}");
     }
     // The injected clip plays next, ahead of anything organic.
-    engine.advance_player(listener, now.advance(TimeSpan::minutes(1))).unwrap();
+    engine.apply(&EngineCommand::AdvancePlayer {
+        user: listener,
+        now: now.advance(TimeSpan::minutes(1)),
+    })?;
     match engine.player(listener).unwrap().mode() {
         PlaybackMode::Clip { clip, .. } => {
             println!(
@@ -119,4 +137,5 @@ fn main() {
         "\n{}",
         Dashboard::render_text(&mut engine, listener, now.advance(TimeSpan::minutes(2)))
     );
+    Ok(())
 }

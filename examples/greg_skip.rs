@@ -6,24 +6,24 @@
 //! Run with `cargo run --example greg_skip`.
 
 use pphcr::catalog::{CategoryId, ClipKind, Programme, ProgrammeId, ServiceIndex};
-use pphcr::core::{Engine, EngineConfig, PlaybackMode};
+use pphcr::core::{Engine, EngineCommand, EngineConfig, EngineError, PlaybackMode};
 use pphcr::geo::time::TimeInterval;
 use pphcr::geo::{TimePoint, TimeSpan};
 use pphcr::userdata::{AgeBand, FeedbackEvent, FeedbackKind, UserId, UserProfile};
 
-fn main() {
+fn main() -> Result<(), EngineError> {
     let mut engine = Engine::new(EngineConfig::default());
     let morning = TimePoint::at(0, 8, 30, 0);
     let greg = UserId(3);
-    engine.register_user(
-        UserProfile {
+    engine.apply(&EngineCommand::RegisterUser {
+        profile: UserProfile {
             id: greg,
             name: "Greg".into(),
             age_band: AgeBand::Middle,
             favourite_service: ServiceIndex(0),
         },
-        morning,
-    );
+        now: morning,
+    })?;
 
     // The live schedule: football, wall to wall.
     engine
@@ -44,13 +44,15 @@ fn main() {
         ("economics", FeedbackKind::Like),
         ("football", FeedbackKind::Skip),
     ] {
-        engine.record_feedback(FeedbackEvent {
-            user: greg,
-            clip: None,
-            category: CategoryId::from_name(cat).unwrap(),
-            kind,
-            time: morning.rewind(TimeSpan::hours(24)),
-        });
+        engine.apply(&EngineCommand::RecordFeedback {
+            event: FeedbackEvent {
+                user: greg,
+                clip: None,
+                category: CategoryId::from_name(cat).unwrap(),
+                kind,
+                time: morning.rewind(TimeSpan::hours(24)),
+            },
+        })?;
     }
 
     // Today's clip shelf.
@@ -61,21 +63,21 @@ fn main() {
         ("Cooking with chestnuts", "food", 9),
         ("Half-time analysis", "football", 6),
     ] {
-        engine.ingest_clip(
-            title,
-            ClipKind::Podcast,
-            TimeSpan::minutes(minutes),
-            morning.rewind(TimeSpan::hours(2)),
-            None,
-            &[],
-            Some(CategoryId::from_name(cat).unwrap()),
-        );
+        engine.apply(&EngineCommand::IngestClip {
+            title: title.into(),
+            kind: ClipKind::Podcast,
+            duration: TimeSpan::minutes(minutes),
+            published: morning.rewind(TimeSpan::hours(2)),
+            geo: None,
+            tokens: vec![],
+            editorial: Some(CategoryId::from_name(cat).unwrap()),
+        })?;
     }
 
     println!("On air: \"Football results, endlessly\" — Greg reaches for the skip button.\n");
     let mut now = morning;
     for attempt in 1..=3 {
-        let events = engine.skip(greg, now);
+        let events = engine.apply(&EngineCommand::Skip { user: greg, now })?;
         let player = engine.player(greg).unwrap();
         match player.mode() {
             PlaybackMode::Clip { clip, .. } => {
@@ -99,4 +101,5 @@ fn main() {
         "football preference after the morning: {:+.2}",
         prefs.score(CategoryId::from_name("football").unwrap())
     );
+    Ok(())
 }

@@ -7,24 +7,27 @@
 
 use pphcr::audio::ClipStore;
 use pphcr::catalog::{CategoryId, ClipKind, Programme, ProgrammeId, ServiceIndex};
-use pphcr::core::{Dashboard, Engine, EngineConfig, EngineEvent, ReplacementPlanner};
+use pphcr::core::{
+    Dashboard, Engine, EngineCommand, EngineConfig, EngineError, EngineEvent, ReplacementPlanner,
+    TickRequest,
+};
 use pphcr::geo::time::TimeInterval;
 use pphcr::geo::{GeoPoint, TimePoint, TimeSpan};
 use pphcr::trajectory::GpsFix;
 use pphcr::userdata::{AgeBand, FeedbackEvent, FeedbackKind, UserId, UserProfile};
 
-fn main() {
+fn main() -> Result<(), EngineError> {
     let mut engine = Engine::new(EngineConfig::default());
     let lilly = UserId(7);
-    engine.register_user(
-        UserProfile {
+    engine.apply(&EngineCommand::RegisterUser {
+        profile: UserProfile {
             id: lilly,
             name: "Lilly".into(),
             age_band: AgeBand::Young,
             favourite_service: ServiceIndex(2),
         },
-        TimePoint::EPOCH,
-    );
+        now: TimePoint::EPOCH,
+    })?;
 
     // --- A week of commuting history --------------------------------
     let home = GeoPoint::new(45.0703, 7.6869);
@@ -32,41 +35,44 @@ fn main() {
     for day in 0..7u64 {
         let d0 = TimePoint::at(day, 0, 0, 0);
         for i in 0..90 {
-            engine.record_fix(lilly, GpsFix::new(home, d0.advance(TimeSpan::minutes(i * 5)), 0.1));
+            engine.apply(&EngineCommand::RecordFix {
+                user: lilly,
+                fix: GpsFix::new(home, d0.advance(TimeSpan::minutes(i * 5)), 0.1),
+            })?;
         }
         for i in 0..40u64 {
             let frac = i as f64 / 39.0;
-            engine.record_fix(
-                lilly,
-                GpsFix::new(
+            engine.apply(&EngineCommand::RecordFix {
+                user: lilly,
+                fix: GpsFix::new(
                     home.destination(80.0, frac * 9_000.0),
                     d0.advance(TimeSpan::hours(8)).advance(TimeSpan::seconds(i * 30)),
                     7.5,
                 ),
-            );
+            })?;
         }
         for i in 0..57 {
-            engine.record_fix(
-                lilly,
-                GpsFix::new(work, d0.advance(TimeSpan::minutes(510 + i * 10)), 0.2),
-            );
+            engine.apply(&EngineCommand::RecordFix {
+                user: lilly,
+                fix: GpsFix::new(work, d0.advance(TimeSpan::minutes(510 + i * 10)), 0.2),
+            })?;
         }
         for i in 0..40u64 {
             let frac = i as f64 / 39.0;
-            engine.record_fix(
-                lilly,
-                GpsFix::new(
+            engine.apply(&EngineCommand::RecordFix {
+                user: lilly,
+                fix: GpsFix::new(
                     work.destination(260.0, frac * 9_000.0),
                     d0.advance(TimeSpan::hours(18)).advance(TimeSpan::seconds(i * 30)),
                     7.5,
                 ),
-            );
+            })?;
         }
         for i in 0..66 {
-            engine.record_fix(
-                lilly,
-                GpsFix::new(home, d0.advance(TimeSpan::minutes(1105 + i * 5)), 0.1),
-            );
+            engine.apply(&EngineCommand::RecordFix {
+                user: lilly,
+                fix: GpsFix::new(home, d0.advance(TimeSpan::minutes(1105 + i * 5)), 0.1),
+            })?;
         }
     }
 
@@ -74,13 +80,15 @@ fn main() {
     let warm = TimePoint::at(6, 20, 0, 0);
     for cat in ["food", "wine", "comedy"] {
         for _ in 0..3 {
-            engine.record_feedback(FeedbackEvent {
-                user: lilly,
-                clip: None,
-                category: CategoryId::from_name(cat).unwrap(),
-                kind: FeedbackKind::Like,
-                time: warm,
-            });
+            engine.apply(&EngineCommand::RecordFeedback {
+                event: FeedbackEvent {
+                    user: lilly,
+                    clip: None,
+                    category: CategoryId::from_name(cat).unwrap(),
+                    kind: FeedbackKind::Like,
+                    time: warm,
+                },
+            })?;
         }
     }
 
@@ -93,15 +101,15 @@ fn main() {
         ("Traffic watch", "traffic", 2),
         ("Transfer rumours", "football", 12),
     ] {
-        engine.ingest_clip(
-            title,
-            ClipKind::Podcast,
-            TimeSpan::minutes(minutes),
-            morning,
-            None,
-            &[],
-            Some(CategoryId::from_name(cat).unwrap()),
-        );
+        engine.apply(&EngineCommand::IngestClip {
+            title: title.into(),
+            kind: ClipKind::Podcast,
+            duration: TimeSpan::minutes(minutes),
+            published: morning,
+            geo: None,
+            tokens: vec![],
+            editorial: Some(CategoryId::from_name(cat).unwrap()),
+        })?;
     }
 
     // --- Day 8: the drive begins --------------------------------------
@@ -110,8 +118,11 @@ fn main() {
     for i in 0..12u64 {
         let now = depart.advance(TimeSpan::seconds(i * 30));
         let frac = i as f64 / 39.0;
-        engine.record_fix(lilly, GpsFix::new(home.destination(80.0, frac * 9_000.0), now, 7.5));
-        for event in engine.tick(lilly, now).expect("lilly is registered") {
+        engine.apply(&EngineCommand::RecordFix {
+            user: lilly,
+            fix: GpsFix::new(home.destination(80.0, frac * 9_000.0), now, 7.5),
+        })?;
+        for event in engine.run_tick(&TickRequest::single(&lilly, now))?.events {
             match event {
                 EngineEvent::TripPredicted { destination, confidence, delta_t, .. } => {
                     println!("[{now}] trip predicted → stay #{destination} (confidence {confidence:.2}), ΔT = {delta_t}");
@@ -192,4 +203,5 @@ fn main() {
         "\n{}",
         Dashboard::render_text(&mut engine, lilly, depart.advance(TimeSpan::minutes(10)))
     );
+    Ok(())
 }

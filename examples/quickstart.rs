@@ -4,26 +4,26 @@
 //! Run with `cargo run --example quickstart`.
 
 use pphcr::catalog::{CategoryId, ClipKind, ServiceIndex};
-use pphcr::core::{Engine, EngineConfig, PlaybackMode};
+use pphcr::core::{Engine, EngineCommand, EngineConfig, EngineError, PlaybackMode};
 use pphcr::geo::{TimePoint, TimeSpan};
 use pphcr::userdata::{AgeBand, FeedbackKind, UserId, UserProfile};
 
-fn main() {
+fn main() -> Result<(), EngineError> {
     let mut engine = Engine::new(EngineConfig::default());
     let now = TimePoint::at(0, 9, 0, 0);
 
     // A listener tunes in to service 0 (its live stream plus metadata
     // would come from the broadcaster; here they are simulated).
     let greg = UserId(1);
-    engine.register_user(
-        UserProfile {
+    engine.apply(&EngineCommand::RegisterUser {
+        profile: UserProfile {
             id: greg,
             name: "Greg".into(),
             age_band: AgeBand::Adult,
             favourite_service: ServiceIndex(0),
         },
         now,
-    );
+    })?;
 
     // The morning's podcast batch arrives (editorially labelled here;
     // see the `nlp` crate for the ASR + Bayes classification path).
@@ -34,15 +34,15 @@ fn main() {
         ("Prosecco tasting", "wine", 15),
     ] {
         let category = CategoryId::from_name(cat).expect("known category");
-        engine.ingest_clip(
-            title,
-            ClipKind::Podcast,
-            TimeSpan::minutes(minutes),
-            now,
-            None,
-            &[],
-            Some(category),
-        );
+        engine.apply(&EngineCommand::IngestClip {
+            title: title.into(),
+            kind: ClipKind::Podcast,
+            duration: TimeSpan::minutes(minutes),
+            published: now,
+            geo: None,
+            tokens: vec![],
+            editorial: Some(category),
+        })?;
     }
 
     // Greg has taught the platform something about himself already.
@@ -51,17 +51,19 @@ fn main() {
         ("economics", FeedbackKind::Like),
         ("football", FeedbackKind::Dislike),
     ] {
-        engine.record_feedback(pphcr::userdata::FeedbackEvent {
-            user: greg,
-            clip: None,
-            category: CategoryId::from_name(cat).unwrap(),
-            kind,
-            time: now,
-        });
+        engine.apply(&EngineCommand::RecordFeedback {
+            event: pphcr::userdata::FeedbackEvent {
+                user: greg,
+                clip: None,
+                category: CategoryId::from_name(cat).unwrap(),
+                kind,
+                time: now,
+            },
+        })?;
     }
 
     // Endless football talk on the live programme — Greg skips.
-    let events = engine.skip(greg, now);
+    let events = engine.apply(&EngineCommand::Skip { user: greg, now })?;
     println!("engine events after skip: {events:#?}");
 
     let player = engine.player(greg).expect("registered");
@@ -83,4 +85,5 @@ fn main() {
         snapshot.gauge("bus.delivered").unwrap_or(0),
         engine.obs_trace().len(),
     );
+    Ok(())
 }

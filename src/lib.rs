@@ -29,36 +29,39 @@
 //! ## Quickstart
 //!
 //! ```
-//! use pphcr::core::{Engine, EngineConfig};
+//! use pphcr::audio::ClipId;
 //! use pphcr::catalog::{CategoryId, ClipKind, ServiceIndex};
+//! use pphcr::core::{Engine, EngineCommand, EngineConfig};
 //! use pphcr::geo::{TimePoint, TimeSpan};
 //! use pphcr::userdata::{AgeBand, UserId, UserProfile};
 //!
+//! // Every change to the engine is an `EngineCommand` passed to
+//! // `Engine::apply`, the same commands the write-ahead log records.
 //! let mut engine = Engine::new(EngineConfig::default());
 //! let now = TimePoint::at(0, 9, 0, 0);
-//! engine.register_user(
-//!     UserProfile {
-//!         id: UserId(1),
-//!         name: "Greg".into(),
-//!         age_band: AgeBand::Adult,
-//!         favourite_service: ServiceIndex(0),
-//!     },
-//!     now,
-//! );
-//! let (clip, _) = engine.ingest_clip(
-//!     "Tech news",
-//!     ClipKind::Podcast,
-//!     TimeSpan::minutes(5),
-//!     now,
-//!     None,
-//!     &[],
-//!     Some(CategoryId::from_name("technology").unwrap()),
-//! );
+//! let profile = UserProfile {
+//!     id: UserId(1),
+//!     name: "Greg".into(),
+//!     age_band: AgeBand::Adult,
+//!     favourite_service: ServiceIndex(0),
+//! };
+//! engine.apply(&EngineCommand::RegisterUser { profile, now })?;
+//! engine.apply(&EngineCommand::IngestClip {
+//!     title: "Tech news".into(),
+//!     kind: ClipKind::Podcast,
+//!     duration: TimeSpan::minutes(5),
+//!     published: now,
+//!     geo: None,
+//!     tokens: vec![],
+//!     editorial: Some(CategoryId::from_name("technology").unwrap()),
+//! })?;
 //! // Greg skips the live football talk: the platform reacts with a
 //! // personalized clip instead of losing him to another station.
-//! let events = engine.skip(UserId(1), now);
+//! let events = engine.apply(&EngineCommand::Skip { user: UserId(1), now })?;
 //! assert!(!events.is_empty());
-//! assert!(engine.heard(UserId(1)).contains(&clip));
+//! // Clip ids are dense in ingest order: the first clip is `ClipId(0)`.
+//! assert!(engine.heard(UserId(1)).contains(&ClipId(0)));
+//! # Ok::<(), pphcr::core::EngineError>(())
 //! ```
 
 #![warn(missing_docs)]

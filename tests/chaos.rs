@@ -17,8 +17,8 @@ use pphcr::audio::ClipId;
 use pphcr::catalog::{CategoryId, ClipKind, ServiceIndex};
 use pphcr::core::persist::snapshot_engine;
 use pphcr::core::{
-    BusMessage, DeadLetterReason, Engine, EngineConfig, EngineEvent, FaultProfile, FaultyTransport,
-    HealthCounts, Topic, UnicastLink,
+    BusMessage, DeadLetterReason, Engine, EngineCommand, EngineConfig, EngineEvent, FaultProfile,
+    FaultyTransport, HealthCounts, TickRequest, Topic, UnicastLink,
 };
 use pphcr::geo::{TimePoint, TimeSpan};
 use pphcr::userdata::{AgeBand, UserId, UserProfile};
@@ -37,15 +37,17 @@ fn build_engine_with(configure: impl FnOnce(&mut Engine)) -> Engine {
     configure(&mut engine);
     let t0 = TimePoint::at(0, 9, 0, 0);
     for u in 1..=USERS {
-        engine.register_user(
-            UserProfile {
-                id: UserId(u),
-                name: format!("listener {u}"),
-                age_band: AgeBand::Adult,
-                favourite_service: ServiceIndex(0),
-            },
-            t0,
-        );
+        engine
+            .apply(&EngineCommand::RegisterUser {
+                profile: UserProfile {
+                    id: UserId(u),
+                    name: format!("listener {u}"),
+                    age_band: AgeBand::Adult,
+                    favourite_service: ServiceIndex(0),
+                },
+                now: t0,
+            })
+            .unwrap();
     }
     engine
 }
@@ -82,16 +84,18 @@ fn drive(engine: &mut Engine) -> (HashMap<ClipId, u64>, u64) {
     let t0 = TimePoint::at(0, 9, 0, 0);
     let mut clips = Vec::new();
     for i in 0..16u64 {
-        let (clip, _) = engine.ingest_clip(
-            format!("push {i}"),
-            ClipKind::Podcast,
-            TimeSpan::minutes(3),
-            t0,
-            None,
-            &[],
-            Some(CategoryId::new((i % 30) as u16)),
-        );
-        clips.push(clip);
+        engine
+            .apply(&EngineCommand::IngestClip {
+                title: format!("push {i}"),
+                kind: ClipKind::Podcast,
+                duration: TimeSpan::minutes(3),
+                published: t0,
+                geo: None,
+                tokens: vec![],
+                editorial: Some(CategoryId::new((i % 30) as u16)),
+            })
+            .unwrap();
+        clips.push(ClipId(i));
     }
     let mut submitted = 0u64;
     let mut deliveries: HashMap<ClipId, u64> = HashMap::new();
@@ -102,14 +106,23 @@ fn drive(engine: &mut Engine) -> (HashMap<ClipId, u64>, u64) {
         if step % 10 == 0 && step < 40 {
             for u in 1..=USERS {
                 if let Some(clip) = clip_iter.next() {
-                    if engine.inject(UserId(u), clip, now, "chaos").is_ok() {
+                    if engine
+                        .apply(&EngineCommand::Inject {
+                            user: UserId(u),
+                            clip,
+                            at: now,
+                            note: "chaos".into(),
+                        })
+                        .is_ok()
+                    {
                         submitted += 1;
                     }
                 }
             }
         }
         for u in 1..=USERS {
-            for event in engine.tick(UserId(u), now).expect("registered") {
+            let report = engine.run_tick(&TickRequest::single(&UserId(u), now)).unwrap();
+            for event in report.events {
                 if let EngineEvent::InjectionDelivered { clip, .. } = event {
                     *deliveries.entry(clip).or_default() += 1;
                 }

@@ -7,7 +7,8 @@ use pphcr::audio::source::{AudioSource, LiveSource};
 use pphcr::audio::{ClipId, ClipStore, SampleClock, TimeShiftBuffer};
 use pphcr::catalog::{CategoryId, ClipKind, Schedule, ServiceIndex};
 use pphcr::core::{
-    Engine, EngineConfig, EngineError, HealthCounts, PlaybackMode, ReplacementPlanner,
+    Engine, EngineCommand, EngineConfig, EngineError, HealthCounts, PlaybackMode,
+    ReplacementPlanner, TickRequest,
 };
 use pphcr::geo::{GeoPoint, TimePoint, TimeSpan};
 use pphcr::sim::population::GpsNoise;
@@ -18,15 +19,17 @@ use pphcr::userdata::{AgeBand, UserId, UserProfile};
 
 fn register(engine: &mut Engine, id: u64) -> UserId {
     let user = UserId(id);
-    engine.register_user(
-        UserProfile {
-            id: user,
-            name: format!("user {id}"),
-            age_band: AgeBand::Adult,
-            favourite_service: ServiceIndex(0),
-        },
-        TimePoint::EPOCH,
-    );
+    engine
+        .apply(&EngineCommand::RegisterUser {
+            profile: UserProfile {
+                id: user,
+                name: format!("user {id}"),
+                age_band: AgeBand::Adult,
+                favourite_service: ServiceIndex(0),
+            },
+            now: TimePoint::EPOCH,
+        })
+        .unwrap();
     user
 }
 
@@ -55,17 +58,24 @@ fn invalid_fix_flood_is_contained() {
     let mut engine = Engine::new(EngineConfig::default());
     let user = register(&mut engine, 1);
     for i in 0..500u64 {
-        engine.record_fix(
-            user,
-            GpsFix::new(GeoPoint::new(f64::NAN, f64::INFINITY), TimePoint(i), -1.0),
-        );
+        engine
+            .apply(&EngineCommand::RecordFix {
+                user,
+                fix: GpsFix::new(GeoPoint::new(f64::NAN, f64::INFINITY), TimePoint(i), -1.0),
+            })
+            .unwrap();
     }
     assert_eq!(engine.tracking.dropped_invalid(), 500);
     assert_eq!(engine.tracking.total_fixes(), 0);
-    engine.record_fix(user, GpsFix::new(GeoPoint::new(45.07, 7.69), TimePoint(501), 1.0));
+    engine
+        .apply(&EngineCommand::RecordFix {
+            user,
+            fix: GpsFix::new(GeoPoint::new(45.07, 7.69), TimePoint(501), 1.0),
+        })
+        .unwrap();
     assert_eq!(engine.tracking.total_fixes(), 1);
     // The engine still ticks without a panic.
-    let _ = engine.tick(user, TimePoint(502));
+    let _ = engine.run_tick(&TickRequest::single(&user, TimePoint(502)));
 }
 
 /// Cold start: a brand-new user with no history, no fixes and an empty
@@ -76,13 +86,15 @@ fn cold_start_everything_empty() {
     let mut engine = Engine::new(EngineConfig::default());
     let user = register(&mut engine, 9);
     let now = TimePoint::at(0, 9, 0, 0);
-    assert!(engine.tick(user, now).expect("registered").is_empty());
-    let events = engine.skip(user, now);
+    assert!(engine.run_tick(&TickRequest::single(&user, now)).unwrap().events.is_empty());
+    let events = engine.apply(&EngineCommand::Skip { user, now }).unwrap();
     assert!(events.is_empty(), "nothing to recommend: {events:?}");
     // The player falls back to live, not to a crash.
     assert_eq!(engine.player(user).unwrap().mode(), PlaybackMode::Live);
     // Ticking an unregistered user is a typed rejection, not a panic.
-    assert_eq!(engine.tick(UserId(777), now), Err(EngineError::UnknownUser(UserId(777))));
+    let ghost_tick =
+        EngineCommand::Tick { users: vec![UserId(777)], now, batch: false, workers: None };
+    assert_eq!(engine.apply(&ghost_tick), Err(EngineError::UnknownUser(UserId(777))));
 }
 
 /// Clip underflow: the queue runs dry mid-session; the player resumes
@@ -92,22 +104,31 @@ fn queue_underflow_resumes_live() {
     let mut engine = Engine::new(EngineConfig::default());
     let user = register(&mut engine, 2);
     let now = TimePoint::at(0, 9, 0, 0);
-    let (clip, _) = engine.ingest_clip(
-        "only one",
-        ClipKind::Podcast,
-        TimeSpan::minutes(4),
-        now,
-        None,
-        &[],
-        Some(CategoryId::new(1)),
-    );
-    engine.inject(user, clip, now, "seed the queue").unwrap();
-    let _ = engine.tick(user, now.advance(TimeSpan::seconds(10)));
-    engine.advance_player(user, now.advance(TimeSpan::seconds(20))).unwrap();
+    engine
+        .apply(&EngineCommand::IngestClip {
+            title: "only one".into(),
+            kind: ClipKind::Podcast,
+            duration: TimeSpan::minutes(4),
+            published: now,
+            geo: None,
+            tokens: vec![],
+            editorial: Some(CategoryId::new(1)),
+        })
+        .unwrap();
+    let clip = ClipId(0);
+    engine
+        .apply(&EngineCommand::Inject { user, clip, at: now, note: "seed the queue".into() })
+        .unwrap();
+    let _ = engine.run_tick(&TickRequest::single(&user, now.advance(TimeSpan::seconds(10))));
+    engine
+        .apply(&EngineCommand::AdvancePlayer { user, now: now.advance(TimeSpan::seconds(20)) })
+        .unwrap();
     assert!(matches!(engine.player(user).unwrap().mode(), PlaybackMode::Clip { .. }));
-    // The clip ends; nothing else queued.
-    let events = engine.advance_player(user, now.advance(TimeSpan::minutes(10))).unwrap();
-    assert!(events.iter().any(|e| matches!(e, pphcr::core::PlayerEvent::ResumedLive { .. })));
+    // The clip ends; nothing else queued, so the player resumes the
+    // live stream, shifted by the clip it played.
+    engine
+        .apply(&EngineCommand::AdvancePlayer { user, now: now.advance(TimeSpan::minutes(10)) })
+        .unwrap();
     let player = engine.player(user).unwrap();
     assert_eq!(player.mode(), PlaybackMode::Shifted);
     assert_eq!(player.displacement(), TimeSpan::minutes(4));
@@ -165,15 +186,17 @@ fn erratic_movement_never_triggers() {
     let mut engine = Engine::new(EngineConfig::default());
     let user = register(&mut engine, 3);
     for i in 0..5u64 {
-        engine.ingest_clip(
-            format!("clip {i}"),
-            ClipKind::Podcast,
-            TimeSpan::minutes(5),
-            TimePoint::EPOCH,
-            None,
-            &[],
-            Some(CategoryId::new(1)),
-        );
+        engine
+            .apply(&EngineCommand::IngestClip {
+                title: format!("clip {i}"),
+                kind: ClipKind::Podcast,
+                duration: TimeSpan::minutes(5),
+                published: TimePoint::EPOCH,
+                geo: None,
+                tokens: vec![],
+                editorial: Some(CategoryId::new(1)),
+            })
+            .unwrap();
     }
     let origin = GeoPoint::new(45.07, 7.69);
     // Random-walk drives: every day a different bearing, no dwell
@@ -183,13 +206,16 @@ fn erratic_movement_never_triggers() {
         for i in 0..30u64 {
             let now = TimePoint::at(day, 9, 0, 0).advance(TimeSpan::seconds(i * 30));
             let bearing = (day * 83 + i * 29) as f64 % 360.0;
-            engine.record_fix(
-                user,
-                GpsFix::new(origin.destination(bearing, i as f64 * 300.0), now, 9.0),
-            );
+            engine
+                .apply(&EngineCommand::RecordFix {
+                    user,
+                    fix: GpsFix::new(origin.destination(bearing, i as f64 * 300.0), now, 9.0),
+                })
+                .unwrap();
             events_seen += engine
-                .tick(user, now)
+                .run_tick(&TickRequest::single(&user, now))
                 .expect("registered")
+                .events
                 .iter()
                 .filter(|e| matches!(e, pphcr::core::EngineEvent::Recommended { .. }))
                 .count();
@@ -209,45 +235,71 @@ fn unregistered_user_is_total_at_every_entry_point() {
     let mut engine = Engine::new(EngineConfig::default());
     let registered = register(&mut engine, 1);
     let now = TimePoint::at(0, 9, 0, 0);
-    let (clip, _) = engine.ingest_clip(
-        "real clip",
-        ClipKind::Podcast,
-        TimeSpan::minutes(3),
-        now,
-        None,
-        &[],
-        Some(CategoryId::new(1)),
-    );
+    engine
+        .apply(&EngineCommand::IngestClip {
+            title: "real clip".into(),
+            kind: ClipKind::Podcast,
+            duration: TimeSpan::minutes(3),
+            published: now,
+            geo: None,
+            tokens: vec![],
+            editorial: Some(CategoryId::new(1)),
+        })
+        .unwrap();
+    let clip = ClipId(0);
     let ghost = UserId(404);
 
     // Typed errors where silently dropping the request would hide a bug.
     assert_eq!(
-        engine.change_service(ghost, ServiceIndex(1), now),
+        engine.apply(&EngineCommand::ChangeService { user: ghost, service: ServiceIndex(1), now }),
         Err(EngineError::UnknownUser(ghost))
     );
-    assert_eq!(engine.inject(ghost, clip, now, "push"), Err(EngineError::UnknownUser(ghost)));
     assert_eq!(
-        engine.inject(registered, ClipId(9_999), now, "push"),
+        engine.apply(&EngineCommand::Inject { user: ghost, clip, at: now, note: "push".into() }),
+        Err(EngineError::UnknownUser(ghost))
+    );
+    assert_eq!(
+        engine.apply(&EngineCommand::Inject {
+            user: registered,
+            clip: ClipId(9_999),
+            at: now,
+            note: "push".into()
+        }),
         Err(EngineError::UnknownClip(ClipId(9_999)))
     );
 
     // Typed rejection from the tick path; no-ops everywhere else.
-    assert_eq!(engine.tick(ghost, now), Err(EngineError::UnknownUser(ghost)));
-    assert!(engine.skip(ghost, now).is_empty());
+    assert_eq!(
+        engine.apply(&EngineCommand::Tick { users: vec![ghost], now, batch: false, workers: None }),
+        Err(EngineError::UnknownUser(ghost))
+    );
+    assert_eq!(engine.apply(&EngineCommand::Skip { user: ghost, now }), Ok(Vec::new()));
     assert!(engine.heard(ghost).is_empty());
     assert!(engine.player(ghost).is_none());
-    assert!(matches!(engine.advance_player(ghost, now), Err(EngineError::UnknownUser(_))));
+    assert!(matches!(
+        engine.apply(&EngineCommand::AdvancePlayer { user: ghost, now }),
+        Err(EngineError::UnknownUser(_))
+    ));
     assert!(engine.bearer_for(ghost).is_none());
     assert!(engine.health_of(ghost).is_none());
     assert!(engine.user_health(ghost).is_none());
-    engine.record_fix(ghost, GpsFix::new(GeoPoint::new(45.07, 7.69), now, 1.0));
-    engine.record_feedback(FeedbackEvent {
-        user: ghost,
-        clip: Some(clip),
-        category: CategoryId::new(1),
-        kind: FeedbackKind::Like,
-        time: now,
-    });
+    engine
+        .apply(&EngineCommand::RecordFix {
+            user: ghost,
+            fix: GpsFix::new(GeoPoint::new(45.07, 7.69), now, 1.0),
+        })
+        .unwrap();
+    engine
+        .apply(&EngineCommand::RecordFeedback {
+            event: FeedbackEvent {
+                user: ghost,
+                clip: Some(clip),
+                category: CategoryId::new(1),
+                kind: FeedbackKind::Like,
+                time: now,
+            },
+        })
+        .unwrap();
     engine.apply_player_events(ghost, &[]);
 
     // Nothing above disturbed the registered listener.

@@ -2,8 +2,9 @@
 //! scenarios (§2.1) plus the full ingest pipeline, exercised through
 //! the public facade only.
 
+use pphcr::audio::ClipId;
 use pphcr::catalog::{CategoryId, ClipKind, Programme, ProgrammeId, ServiceIndex};
-use pphcr::core::{Engine, EngineConfig, EngineEvent, PlaybackMode};
+use pphcr::core::{Engine, EngineCommand, EngineConfig, EngineEvent, PlaybackMode, TickRequest};
 use pphcr::geo::time::TimeInterval;
 use pphcr::geo::{GeoPoint, TimePoint, TimeSpan};
 use pphcr::nlp::{AsrConfig, SimulatedAsr};
@@ -12,15 +13,17 @@ use pphcr::userdata::{AgeBand, FeedbackEvent, FeedbackKind, UserId, UserProfile}
 
 fn register(engine: &mut Engine, id: u64, service: u32, now: TimePoint) -> UserId {
     let user = UserId(id);
-    engine.register_user(
-        UserProfile {
-            id: user,
-            name: format!("user {id}"),
-            age_band: AgeBand::Adult,
-            favourite_service: ServiceIndex(service),
-        },
-        now,
-    );
+    engine
+        .apply(&EngineCommand::RegisterUser {
+            profile: UserProfile {
+                id: user,
+                name: format!("user {id}"),
+                age_band: AgeBand::Adult,
+                favourite_service: ServiceIndex(service),
+            },
+            now,
+        })
+        .unwrap();
     user
 }
 
@@ -43,30 +46,34 @@ fn greg_manual_program_change() {
         })
         .unwrap();
     for _ in 0..3 {
-        engine.record_feedback(FeedbackEvent {
-            user: greg,
-            clip: None,
-            category: CategoryId::from_name("technology").unwrap(),
-            kind: FeedbackKind::Like,
-            time: now.rewind(TimeSpan::hours(12)),
-        });
+        engine
+            .apply(&EngineCommand::RecordFeedback {
+                event: FeedbackEvent {
+                    user: greg,
+                    clip: None,
+                    category: CategoryId::from_name("technology").unwrap(),
+                    kind: FeedbackKind::Like,
+                    time: now.rewind(TimeSpan::hours(12)),
+                },
+            })
+            .unwrap();
     }
-    let mut clips = Vec::new();
     for (title, cat) in [("tech one", "technology"), ("tech two", "technology"), ("cucina", "food")]
     {
-        let (id, _) = engine.ingest_clip(
-            title,
-            ClipKind::Podcast,
-            TimeSpan::minutes(8),
-            now.rewind(TimeSpan::hours(3)),
-            None,
-            &[],
-            Some(CategoryId::from_name(cat).unwrap()),
-        );
-        clips.push(id);
+        engine
+            .apply(&EngineCommand::IngestClip {
+                title: title.into(),
+                kind: ClipKind::Podcast,
+                duration: TimeSpan::minutes(8),
+                published: now.rewind(TimeSpan::hours(3)),
+                geo: None,
+                tokens: vec![],
+                editorial: Some(CategoryId::from_name(cat).unwrap()),
+            })
+            .unwrap();
     }
     // First skip leaves the live programme.
-    engine.skip(greg, now);
+    engine.apply(&EngineCommand::Skip { user: greg, now }).unwrap();
     let first = match engine.player(greg).unwrap().mode() {
         PlaybackMode::Clip { clip, .. } => clip.clip,
         other => panic!("expected a clip after skip, got {other:?}"),
@@ -77,7 +84,9 @@ fn greg_manual_program_change() {
     let prefs = engine.feedback.preferences(greg, now.advance(TimeSpan::minutes(1)));
     assert!(prefs.score(CategoryId::from_name("football").unwrap()) < 0.0);
     // A second skip moves to the next suggestion, not to channel surf.
-    engine.skip(greg, now.advance(TimeSpan::seconds(30)));
+    engine
+        .apply(&EngineCommand::Skip { user: greg, now: now.advance(TimeSpan::seconds(30)) })
+        .unwrap();
     assert!(matches!(engine.player(greg).unwrap().mode(), PlaybackMode::Clip { .. }));
     let (skips, surfs) = engine.player(greg).unwrap().counters();
     assert_eq!(skips, 2);
@@ -97,53 +106,70 @@ fn lilly_proactive_morning() {
     for day in 0..7u64 {
         let d0 = TimePoint::at(day, 0, 0, 0);
         for i in 0..90 {
-            engine.record_fix(lilly, GpsFix::new(home, d0.advance(TimeSpan::minutes(i * 5)), 0.1));
+            engine
+                .apply(&EngineCommand::RecordFix {
+                    user: lilly,
+                    fix: GpsFix::new(home, d0.advance(TimeSpan::minutes(i * 5)), 0.1),
+                })
+                .unwrap();
         }
         for i in 0..40u64 {
             let frac = i as f64 / 39.0;
-            engine.record_fix(
-                lilly,
-                GpsFix::new(
-                    home.destination(80.0, frac * 9_000.0),
-                    d0.advance(TimeSpan::hours(8)).advance(TimeSpan::seconds(i * 30)),
-                    7.5,
-                ),
-            );
+            engine
+                .apply(&EngineCommand::RecordFix {
+                    user: lilly,
+                    fix: GpsFix::new(
+                        home.destination(80.0, frac * 9_000.0),
+                        d0.advance(TimeSpan::hours(8)).advance(TimeSpan::seconds(i * 30)),
+                        7.5,
+                    ),
+                })
+                .unwrap();
         }
         for i in 0..57 {
-            engine.record_fix(
-                lilly,
-                GpsFix::new(work, d0.advance(TimeSpan::minutes(510 + i * 10)), 0.2),
-            );
+            engine
+                .apply(&EngineCommand::RecordFix {
+                    user: lilly,
+                    fix: GpsFix::new(work, d0.advance(TimeSpan::minutes(510 + i * 10)), 0.2),
+                })
+                .unwrap();
         }
         for i in 0..40u64 {
             let frac = i as f64 / 39.0;
-            engine.record_fix(
-                lilly,
-                GpsFix::new(
-                    work.destination(260.0, frac * 9_000.0),
-                    d0.advance(TimeSpan::hours(18)).advance(TimeSpan::seconds(i * 30)),
-                    7.5,
-                ),
-            );
+            engine
+                .apply(&EngineCommand::RecordFix {
+                    user: lilly,
+                    fix: GpsFix::new(
+                        work.destination(260.0, frac * 9_000.0),
+                        d0.advance(TimeSpan::hours(18)).advance(TimeSpan::seconds(i * 30)),
+                        7.5,
+                    ),
+                })
+                .unwrap();
         }
         for i in 0..66 {
-            engine.record_fix(
-                lilly,
-                GpsFix::new(home, d0.advance(TimeSpan::minutes(1105 + i * 5)), 0.1),
-            );
+            engine
+                .apply(&EngineCommand::RecordFix {
+                    user: lilly,
+                    fix: GpsFix::new(home, d0.advance(TimeSpan::minutes(1105 + i * 5)), 0.1),
+                })
+                .unwrap();
         }
     }
     let warm = TimePoint::at(6, 20, 0, 0);
     for cat in ["food", "wine"] {
         for _ in 0..3 {
-            engine.record_feedback(FeedbackEvent {
-                user: lilly,
-                clip: None,
-                category: CategoryId::from_name(cat).unwrap(),
-                kind: FeedbackKind::Like,
-                time: warm,
-            });
+            engine
+                .apply(&EngineCommand::RecordFeedback {
+                    event: FeedbackEvent {
+                        user: lilly,
+                        clip: None,
+                        category: CategoryId::from_name(cat).unwrap(),
+                        kind: FeedbackKind::Like,
+                        time: warm,
+                    },
+                })
+                .unwrap();
         }
     }
     let morning = TimePoint::at(7, 6, 0, 0);
@@ -153,15 +179,17 @@ fn lilly_proactive_morning() {
         ("Football", "football", 10),
         ("News", "national-news", 3),
     ] {
-        engine.ingest_clip(
-            title,
-            ClipKind::Podcast,
-            TimeSpan::minutes(minutes),
-            morning,
-            None,
-            &[],
-            Some(CategoryId::from_name(cat).unwrap()),
-        );
+        engine
+            .apply(&EngineCommand::IngestClip {
+                title: title.into(),
+                kind: ClipKind::Podcast,
+                duration: TimeSpan::minutes(minutes),
+                published: morning,
+                geo: None,
+                tokens: vec![],
+                editorial: Some(CategoryId::from_name(cat).unwrap()),
+            })
+            .unwrap();
     }
     // The drive starts; within a few minutes the engine must recommend.
     let depart = TimePoint::at(7, 8, 0, 0);
@@ -169,8 +197,13 @@ fn lilly_proactive_morning() {
     for i in 0..12u64 {
         let now = depart.advance(TimeSpan::seconds(i * 30));
         let frac = i as f64 / 39.0;
-        engine.record_fix(lilly, GpsFix::new(home.destination(80.0, frac * 9_000.0), now, 7.5));
-        for ev in engine.tick(lilly, now).expect("registered") {
+        engine
+            .apply(&EngineCommand::RecordFix {
+                user: lilly,
+                fix: GpsFix::new(home.destination(80.0, frac * 9_000.0), now, 7.5),
+            })
+            .unwrap();
+        for ev in engine.run_tick(&TickRequest::single(&lilly, now)).expect("registered").events {
             if let EngineEvent::Recommended { schedule: s, .. } = ev {
                 schedule = Some(s);
             }
@@ -193,10 +226,10 @@ fn lilly_proactive_morning() {
     assert!(liked_items * 2 >= schedule.items.len(), "schedule favours her tastes");
     // Playing the queue accumulates displacement → shifted live resume.
     let mut now = depart.advance(TimeSpan::minutes(6));
-    engine.advance_player(lilly, now).unwrap();
+    engine.apply(&EngineCommand::AdvancePlayer { user: lilly, now }).unwrap();
     for _ in 0..60 {
         now = now.advance(TimeSpan::minutes(1));
-        engine.advance_player(lilly, now).unwrap();
+        engine.apply(&EngineCommand::AdvancePlayer { user: lilly, now }).unwrap();
     }
     let player = engine.player(lilly).unwrap();
     assert!(matches!(player.mode(), PlaybackMode::Shifted | PlaybackMode::Live));
@@ -217,25 +250,28 @@ fn ingest_pipeline_classifies_and_recommends() {
         for k in 0..6 {
             let tokens: Vec<String> =
                 (0..40).map(|w| format!("{}tok{}", c.name(), (w + k * 7) % 25)).collect();
-            engine.train_classifier(c, &tokens);
+            engine.apply(&EngineCommand::TrainClassifier { category: c, tokens }).unwrap();
         }
     }
     // Ingest noisy transcripts without labels.
     let mut asr = SimulatedAsr::new(AsrConfig { wer: 0.2, seed: 3, ..Default::default() });
     let mut correct = 0;
-    for c in CategoryId::all() {
+    for (n, c) in CategoryId::all().enumerate() {
         let script: Vec<String> = (0..60).map(|w| format!("{}tok{}", c.name(), w % 25)).collect();
         let noisy = asr.transcribe(&script, &[]);
-        let (_, predicted) = engine.ingest_clip(
-            format!("{c} bulletin"),
-            ClipKind::NewsBulletin,
-            TimeSpan::minutes(4),
-            now,
-            None,
-            &noisy,
-            None,
-        );
-        if predicted == c {
+        engine
+            .apply(&EngineCommand::IngestClip {
+                title: format!("{c} bulletin"),
+                kind: ClipKind::NewsBulletin,
+                duration: TimeSpan::minutes(4),
+                published: now,
+                geo: None,
+                tokens: noisy,
+                editorial: None,
+            })
+            .unwrap();
+        // Clip ids are dense in ingest order: this is the n-th clip.
+        if engine.repo.get(ClipId(n as u64)).unwrap().category == c {
             correct += 1;
         }
     }
@@ -244,15 +280,19 @@ fn ingest_pipeline_classifies_and_recommends() {
     // A listener who likes wine gets wine-led recommendations.
     let user = register(&mut engine, 5, 0, now);
     for _ in 0..3 {
-        engine.record_feedback(FeedbackEvent {
-            user,
-            clip: None,
-            category: CategoryId::from_name("wine").unwrap(),
-            kind: FeedbackKind::Like,
-            time: now,
-        });
+        engine
+            .apply(&EngineCommand::RecordFeedback {
+                event: FeedbackEvent {
+                    user,
+                    clip: None,
+                    category: CategoryId::from_name("wine").unwrap(),
+                    kind: FeedbackKind::Like,
+                    time: now,
+                },
+            })
+            .unwrap();
     }
-    engine.skip(user, now.advance(TimeSpan::hours(1)));
+    engine.apply(&EngineCommand::Skip { user, now: now.advance(TimeSpan::hours(1)) }).unwrap();
     let playing = match engine.player(user).unwrap().mode() {
         PlaybackMode::Clip { clip, .. } => clip.clip,
         other => panic!("expected clip, got {other:?}"),
@@ -269,43 +309,56 @@ fn editorial_injection_preempts_organic() {
     let user = register(&mut engine, 9, 0, now);
     // Strongly liked organic content.
     for _ in 0..3 {
-        engine.record_feedback(FeedbackEvent {
-            user,
-            clip: None,
-            category: CategoryId::new(9),
-            kind: FeedbackKind::Like,
-            time: now,
-        });
+        engine
+            .apply(&EngineCommand::RecordFeedback {
+                event: FeedbackEvent {
+                    user,
+                    clip: None,
+                    category: CategoryId::new(9),
+                    kind: FeedbackKind::Like,
+                    time: now,
+                },
+            })
+            .unwrap();
     }
     for i in 0..4u64 {
-        engine.ingest_clip(
-            format!("organic {i}"),
-            ClipKind::Podcast,
-            TimeSpan::minutes(5),
-            now,
-            None,
-            &[],
-            Some(CategoryId::new(9)),
-        );
+        engine
+            .apply(&EngineCommand::IngestClip {
+                title: format!("organic {i}"),
+                kind: ClipKind::Podcast,
+                duration: TimeSpan::minutes(5),
+                published: now,
+                geo: None,
+                tokens: vec![],
+                editorial: Some(CategoryId::new(9)),
+            })
+            .unwrap();
     }
-    let (pushed, _) = engine.ingest_clip(
-        "editor's pick",
-        ClipKind::Podcast,
-        TimeSpan::minutes(3),
-        now,
-        None,
-        &[],
-        Some(CategoryId::new(21)), // a category the user never liked
-    );
-    engine.inject(user, pushed, now, "from the dashboard").unwrap();
-    let _ = engine.tick(user, now.advance(TimeSpan::seconds(10)));
+    engine
+        .apply(&EngineCommand::IngestClip {
+            title: "editor's pick".into(),
+            kind: ClipKind::Podcast,
+            duration: TimeSpan::minutes(3),
+            published: now,
+            geo: None,
+            tokens: vec![],
+            editorial: Some(CategoryId::new(21)), // a category the user never liked
+        })
+        .unwrap();
+    let pushed = ClipId(4); // after the four organic clips
+    engine
+        .apply(&EngineCommand::Inject {
+            user,
+            clip: pushed,
+            at: now,
+            note: "from the dashboard".into(),
+        })
+        .unwrap();
+    let _ = engine.run_tick(&TickRequest::single(&user, now.advance(TimeSpan::seconds(10))));
     // The injected clip plays before any organic one.
-    let events = engine.advance_player(user, now.advance(TimeSpan::seconds(20))).unwrap();
-    assert!(
-        events.iter().any(|e| matches!(
-            e,
-            pphcr::core::PlayerEvent::ClipStarted(c) if *c == pushed
-        )),
-        "{events:?}"
-    );
+    engine
+        .apply(&EngineCommand::AdvancePlayer { user, now: now.advance(TimeSpan::seconds(20)) })
+        .unwrap();
+    let mode = engine.player(user).unwrap().mode();
+    assert!(matches!(mode, PlaybackMode::Clip { clip, .. } if clip.clip == pushed), "{mode:?}");
 }
