@@ -1228,7 +1228,16 @@ impl Engine {
             self.apply_player_events(user, &events);
         }
         // 2. Send pending editorial injections as tracked deliveries.
+        // The injection queue carries their payload, so taking them also
+        // frees their slots on the bounded Editorial topic; otherwise
+        // its capacity would cap a deployment's lifetime injections.
         let pending = self.injections.take(user);
+        if !pending.is_empty() {
+            self.bus.drain_matching(
+                Topic::Editorial,
+                |m| matches!(m, BusMessage::Inject { user: u, .. } if *u == user),
+            );
+        }
         for inj in pending {
             if let Some(meta) = self.repo.get(inj.clip) {
                 if self.players.contains_key(&user) {
@@ -2142,6 +2151,42 @@ mod tests {
         assert!(matches!(
             e.player(UserId(1)).unwrap().mode(),
             crate::player::PlaybackMode::Clip { clip: q, .. } if q.clip == clip
+        ));
+    }
+
+    #[test]
+    fn ticks_free_editorial_capacity_as_they_take_injections() {
+        // Regression: nothing drained the Editorial topic, so its
+        // bounded Reject queue capped a deployment's lifetime injections
+        // at its capacity, even after every earlier push was delivered.
+        let mut e = engine();
+        let t = TimePoint::at(0, 9, 0, 0);
+        let user = UserId(1);
+        e.register_user(profile(1), t);
+        e.ingest_clip(
+            "pushed",
+            ClipKind::Podcast,
+            TimeSpan::minutes(5),
+            t,
+            None,
+            &[],
+            Some(CategoryId::new(2)),
+        );
+        let capacity = e.bus.policy(Topic::Editorial).capacity as u64;
+        for i in 0..capacity + 144 {
+            let now = t.advance(TimeSpan::seconds(i * 30));
+            e.inject(user, ClipId(0), now, "again").expect("earlier pushes were taken");
+            e.run_tick(&TickRequest::single(&user, now)).expect("registered");
+        }
+        assert_eq!(e.bus.pending(Topic::Editorial), 0);
+        // Backpressure still holds for pushes no tick has taken yet.
+        let later = t.advance(TimeSpan::hours(10));
+        for _ in 0..capacity {
+            e.inject(user, ClipId(0), later, "queued").expect("room left");
+        }
+        assert!(matches!(
+            e.inject(user, ClipId(0), later, "one too many"),
+            Err(EngineError::BusRejected(_))
         ));
     }
 
