@@ -45,7 +45,7 @@ use pphcr_obs::JsonWriter;
 use pphcr_shard::{
     commands, run_single, run_single_windowed, tick_heavy, ProcessShard, Router, SingleRun,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn env_or(key: &str, default: &str) -> String {
@@ -72,7 +72,7 @@ struct Row {
 /// `shards`-process deployment. Pass an empty `setup` to time the
 /// whole script.
 fn run_once(
-    bin: &PathBuf,
+    bin: &Path,
     setup: &[pphcr_core::EngineCommand],
     window: &[pphcr_core::EngineCommand],
     shards: usize,

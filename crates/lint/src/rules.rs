@@ -361,7 +361,7 @@ pub(crate) fn line_pass(
         if code.contains("mpsc::channel()") {
             raw.push((rule(7), "unbounded `mpsc::channel()`".to_string()));
         }
-        if scope.bounded_loop && !in_test && opens_unbounded_loop(&lines, idx) {
+        if scope.bounded_loop && !in_test && opens_unbounded_loop(lines, idx) {
             raw.push((
                 rule(8),
                 "`loop`/`while true` without `break`/`return` in bus/retry code".to_string(),

@@ -124,7 +124,7 @@ pub fn read_frame(input: &mut impl Read) -> Result<Option<(u64, u8, Vec<u8>)>, P
     let mut hr = ByteReader::new(&header);
     let len = hr.u32().map_err(|_| ProtoError::BadFrame)? as usize;
     let crc = hr.u32().map_err(|_| ProtoError::BadFrame)?;
-    if len < 9 || len > MAX_FRAME {
+    if !(9..=MAX_FRAME).contains(&len) {
         return Err(ProtoError::BadFrame);
     }
     let mut payload = vec![0u8; len];
