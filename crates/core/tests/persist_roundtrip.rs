@@ -196,6 +196,44 @@ fn snapshot_round_trip_is_identity() {
     assert_eq!(bytes, again, "decode → encode changed the byte stream");
 }
 
+/// Clip ids are dense in ingest order: the n-th `IngestClip` files
+/// `ClipId(n)`, and a restored engine continues the sequence. Callers
+/// read new clip ids from this contract (`Engine::apply` returns none),
+/// and so does the shard router's ingest broadcast.
+#[test]
+fn ingested_clip_ids_are_dense_and_continue_after_restore() {
+    let ingest = |e: &mut Engine, n: u64| {
+        e.apply(&EngineCommand::IngestClip {
+            title: format!("clip {n}"),
+            kind: ClipKind::Podcast,
+            duration: TimeSpan::minutes(3),
+            published: TimePoint::at(0, 9, 0, 0),
+            geo: None,
+            tokens: vec![],
+            editorial: Some(CategoryId::new((n % 30) as u16)),
+        })
+        .expect("ingest cannot fail");
+    };
+    let filed_in_order = |e: &Engine, count: u64| {
+        assert_eq!(e.repo.len() as u64, count);
+        for n in 0..count {
+            let meta = e.repo.get(ClipId(n)).expect("ids are dense");
+            assert_eq!(meta.title, format!("clip {n}"));
+        }
+    };
+    let mut e = Engine::new(EngineConfig::default());
+    for n in 0..5 {
+        ingest(&mut e, n);
+    }
+    filed_in_order(&e, 5);
+    let bytes = snapshot_engine(&e, 0).expect("default engine uses a snapshot-capable transport");
+    let (mut restored, _) = decode_engine(&bytes).expect("own snapshot decodes");
+    for n in 5..8 {
+        ingest(&mut restored, n);
+    }
+    filed_in_order(&restored, 8);
+}
+
 // ------------------------------------------------------- typed failures
 
 /// `unwrap_err` needs `Debug` on the success type, which `Engine`
