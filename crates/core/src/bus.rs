@@ -388,21 +388,15 @@ impl Bus {
     }
 
     /// Drains the arrived messages on a topic that match `taken`,
-    /// leaving the rest queued in order, and returns how many it
-    /// removed. Consumers that carry a message's payload elsewhere use
-    /// it to free the message's slot in a bounded queue.
-    pub(crate) fn drain_matching(
-        &mut self,
-        topic: Topic,
-        taken: impl Fn(&BusMessage) -> bool,
-    ) -> usize {
+    /// leaving the rest queued in order. Consumers that carry a
+    /// message's payload elsewhere use it to free the message's slot in
+    /// a bounded queue.
+    pub(crate) fn drain_matching(&mut self, topic: Topic, taken: impl Fn(&BusMessage) -> bool) {
         self.pump(topic);
-        let Some(queue) = self.queues.get_mut(&topic) else { return 0 };
+        let Some(queue) = self.queues.get_mut(&topic) else { return };
         let before = queue.len();
         queue.retain(|envelope| !taken(&envelope.message));
-        let removed = before - queue.len();
-        self.delivered += removed as u64;
-        removed
+        self.delivered += (before - queue.len()) as u64;
     }
 
     /// Messages waiting on a topic (queued or still on the wire).

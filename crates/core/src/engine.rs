@@ -2173,7 +2173,7 @@ mod tests {
             Some(CategoryId::new(2)),
         );
         let capacity = e.bus.policy(Topic::Editorial).capacity as u64;
-        for i in 0..capacity + 144 {
+        for i in 0..2 * capacity {
             let now = t.advance(TimeSpan::seconds(i * 30));
             e.inject(user, ClipId(0), now, "again").expect("earlier pushes were taken");
             e.run_tick(&TickRequest::single(&user, now)).expect("registered");

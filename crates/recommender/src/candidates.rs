@@ -140,7 +140,7 @@ pub struct CandidateFilter {
     pub route_corridor_m: f64,
     /// Keep at most this many candidates (by score).
     pub max_candidates: usize,
-    /// Catalog size below which the indexed entry points fall back to
+    /// Catalog size below which the indexed retrieval falls back to
     /// the linear scan. The index only pays off once posting-list
     /// pruning skips enough clips to beat the scan's branch-predictable
     /// sweep — measured at ~0.97x (a net loss) on a 1k-clip catalog —
@@ -157,9 +157,10 @@ fn default_scan_below() -> usize {
     2_000
 }
 
-/// Which retrieval walk the indexed entry points will actually run for
-/// a given repository size — the production dispatch decision, exposed
-/// so benchmarks report what they measured instead of guessing.
+/// Which walk [`CandidateFilter::candidates_indexed_excluding_stats`]
+/// actually runs for a given repository size — the production dispatch
+/// decision, exposed so benchmarks report what they measured instead of
+/// guessing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RetrievalPath {
     /// Below [`CandidateFilter::scan_below`]: the linear scan.
