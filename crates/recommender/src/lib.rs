@@ -45,6 +45,7 @@ pub use score::ScoringWeights;
 
 use pphcr_catalog::ContentRepository;
 use pphcr_userdata::{FeedbackStore, UserId};
+use std::collections::HashSet;
 
 /// The full recommender pipeline: filter → score → schedule.
 #[derive(Debug, Clone, Default)]
@@ -69,14 +70,7 @@ impl Recommender {
         ctx: &ListenerContext,
     ) -> Vec<ScoredClip> {
         let prefs = feedback.preferences(user, ctx.now);
-        let (ranked, _) = self.filter.candidates_excluding_stats(
-            repo,
-            &prefs,
-            ctx,
-            &self.weights,
-            &std::collections::HashSet::new(),
-        );
-        ranked
+        self.filter.candidates_excluding_stats(repo, &prefs, ctx, &self.weights, &HashSet::new()).0
     }
 
     /// The full proactive pipeline for a driving listener: rank, then
